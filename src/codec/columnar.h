@@ -264,19 +264,24 @@ Status DecodeValueSections(const FrameView& view, int* s, size_t n,
       return Status::InvalidArgument("expected zero-suppressed values");
     }
     const char* data = view.section_data(*s);
+    // An absent value decodes to all-zero bytes, exactly what the
+    // encoder's byte-level zero test saw (value-initialization would not
+    // promise that for a type with non-zero member initializers).
+    static constexpr char kZeroBytes[sizeof(E)] = {};
     size_t offset = 0;
     for (size_t i = 0; i < n; ++i) {
-      E e{};
-      std::memset(&e, 0, sizeof(E));
+      const char* src = kZeroBytes;
       const bool present =
           (static_cast<unsigned char>(mask[i / 8]) >> (i % 8)) & 1u;
       if (present) {
         if (vals.bytes - offset < sizeof(E)) {
           return Status::InvalidArgument("zero-suppressed values truncated");
         }
-        std::memcpy(&e, data + offset, sizeof(E));
+        src = data + offset;
         offset += sizeof(E);
       }
+      E e;
+      std::memcpy(&e, src, sizeof(E));
       put(i, e);
     }
     if (offset != vals.bytes) {

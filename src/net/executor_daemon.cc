@@ -37,12 +37,16 @@ uint64_t SpillFrameBuffer(const void* data, const std::string& path) {
 }
 
 BlockManager::Loaded LoadFrameBuffer(const std::string& path) {
-  auto buf = codec::ReadFrameFile(path);
-  SPANGLE_CHECK(buf.ok()) << "daemon cannot read spill file " << path << ": "
-                          << buf.status().ToString();
-  const uint64_t mapped = buf->mapped() ? buf->size() : 0;
-  return {std::make_shared<const codec::FrameBuffer>(*std::move(buf)),
-          mapped};
+  // The Result itself lives on the heap and the block aliases its value:
+  // moving a FrameBuffer out of a stack Result makes GCC's variant
+  // teardown trip -Wfree-nonheap-object (a false positive, but noise).
+  auto read = std::make_shared<const Result<codec::FrameBuffer>>(
+      codec::ReadFrameFile(path));
+  SPANGLE_CHECK(read->ok()) << "daemon cannot read spill file " << path
+                            << ": " << read->status().ToString();
+  const codec::FrameBuffer& buf = **read;
+  const uint64_t mapped = buf.mapped() ? buf.size() : 0;
+  return {std::shared_ptr<const codec::FrameBuffer>(read, &buf), mapped};
 }
 
 }  // namespace

@@ -355,13 +355,13 @@ Status ExecutorFleet::DispatchTask(const std::string& stage, int task,
 }
 
 Result<PutBlockResponse> ExecutorFleet::PutBlock(uint64_t node, int partition,
-                                                 const std::string& bytes,
+                                                 std::string bytes,
                                                  uint64_t content_hash) {
   const int w = partition % num_executors_;
   PutBlockRequest req;
   req.node = node;
   req.partition = partition;
-  req.bytes = bytes;
+  req.bytes = std::move(bytes);
   req.content_hash = content_hash;
   const uint64_t start = StampTrace(&req.trace);
   Status last = Status::OK();

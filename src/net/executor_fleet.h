@@ -74,9 +74,10 @@ class ExecutorFleet {
   /// validate the frame on receipt and dedup identical re-stores; the
   /// response's `deduped` reports whether an identical payload was
   /// already held. Retries once against the restarted replacement on
-  /// failure (including hash-validation refusals).
+  /// failure (including hash-validation refusals). `bytes` is moved into
+  /// the request, which the retry resends as is.
   Result<PutBlockResponse> PutBlock(uint64_t node, int partition,
-                                    const std::string& bytes,
+                                    std::string bytes,
                                     uint64_t content_hash) EXCLUDES(mu_);
 
   /// Fetches a block from its owner. found=false means the daemon is

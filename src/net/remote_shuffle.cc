@@ -19,9 +19,10 @@ RemoteShuffleFetcher::RemoteShuffleFetcher(ExecutorFleet* fleet,
 }
 
 Status RemoteShuffleFetcher::StoreEncoded(uint64_t node, int partition,
-                                          const std::string& bytes,
+                                          std::string bytes,
                                           uint64_t content_hash) {
-  auto resp = fleet_->PutBlock(node, partition, bytes, content_hash);
+  auto resp =
+      fleet_->PutBlock(node, partition, std::move(bytes), content_hash);
   SPANGLE_RETURN_NOT_OK(resp.status());
   if (resp->deduped) {
     metrics_->shuffle_block_dedup_hits.fetch_add(1,

@@ -29,7 +29,9 @@ class RemoteShuffleFetcher {
   /// `content_hash` is the frame's content address: the daemon validates
   /// the bytes on receipt, and a daemon that already holds an identical
   /// payload reports a dedup, counted in shuffle_block_dedup_hits.
-  Status StoreEncoded(uint64_t node, int partition, const std::string& bytes,
+  /// `bytes` is taken by value and moved into the request: a caller that
+  /// hands over its frame pays no copy.
+  Status StoreEncoded(uint64_t node, int partition, std::string bytes,
                       uint64_t content_hash);
 
   /// Fetches one partition's encoding. nullopt = the block is gone

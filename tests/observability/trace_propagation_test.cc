@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -203,6 +205,39 @@ TEST(TracePropagationTest, MergedTraceHasDriverAndDaemonLanes) {
   // Flow events tie driver client spans to daemon serve spans.
   EXPECT_FALSE(LinesContaining(trace, "\"ph\":\"s\"").empty());
   EXPECT_FALSE(LinesContaining(trace, "\"ph\":\"f\"").empty());
+}
+
+TEST(TracePropagationTest, PutBlockSpansParentUnderReduceTaskSpans) {
+  // Reduce tasks commit their own partitions, so every put_block client
+  // span must hang off the span of the reduce task that issued it — not
+  // off the job root. The chaos hook runs inside each task attempt with
+  // the task's trace context bound, which is how the test learns the task
+  // span ids.
+  Context ctx(2, 4, 0, {}, Distributed(2));
+  std::mutex mu;
+  std::map<uint64_t, std::string> task_stage;  // task span id -> stage
+  auto chaos = std::make_shared<ChaosPolicy>();
+  chaos->delay_us = [&](const ChaosTaskInfo& info) -> uint64_t {
+    std::lock_guard<std::mutex> lock(mu);
+    task_stage[trace::Current().span_id] = info.stage;
+    return 0;
+  };
+  ctx.set_chaos_policy(chaos);
+  RunShuffleJob(&ctx);
+  ctx.set_chaos_policy(nullptr);
+
+  size_t puts = 0;
+  for (const TraceSpan& s : ctx.trace_spans().Snapshot()) {
+    if (s.name != "put_block") continue;
+    ++puts;
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = task_stage.find(s.parent_span_id);
+    ASSERT_NE(it, task_stage.end())
+        << "put_block span " << s.span_id << " has parent "
+        << s.parent_span_id << ", which is no task span";
+    EXPECT_EQ(it->second, "reduceByKey/reduce");
+  }
+  EXPECT_GT(puts, 0u);
 }
 
 TEST(TracePropagationTest, TracingOffRecordsNoSpans) {
