@@ -70,6 +70,10 @@ struct ChaosPolicy {
   /// Return a worker id >= 0 to fail that executor (drop all its blocks,
   /// mid-job) when this task attempt starts; -1 for no failure.
   std::function<int(const ChaosTaskInfo&)> fail_executor;
+  /// Return true to refuse the DISTRIBUTED store of shuffle `node`'s
+  /// output `partition`, as a failed daemon put would. Evaluated inside
+  /// the reduce task, after it has drained its map buckets.
+  std::function<bool(uint64_t node, int partition)> fail_store;
 };
 
 /// Thrown when a task reads a shuffle output block that disappeared after
