@@ -17,9 +17,8 @@ namespace codec {
 /// columnar chunk frame (columnar.h) uses it for the kRecords fallback
 /// section (types with no columnar split), and the legacy:: partition
 /// functions below preserve the pre-frame wire format for the codec
-/// ablation bench. This is the machinery that lived in
-/// engine/spill_codec.h before the frame refactor; spill_codec.h now
-/// re-exports it.
+/// ablation bench. The engine asks kSpillable<T> below whether a record
+/// type may be spilled to disk.
 
 /// Types carrying their own binary codec: AppendTo(std::string*) plus a
 /// static FromBytes(data, size, *consumed) returning a Result. Chunk,

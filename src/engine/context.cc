@@ -203,15 +203,14 @@ void Context::RunStage(const std::string& name, int n,
   for (int round = 0;; ++round) {
     std::vector<ExecutorPool::Task> tasks;
     tasks.reserve(pending.size());
-    net::ExecutorFleet* const fleet = fleet_.get();
     for (const int i : pending) {
       tasks.emplace_back([this, &fn, &acc, &gates, &attempt_base, &chaos,
                           &name, &stage_trace, stage_attempt, overhead,
-                          profile, fleet, i](int pool_attempt) {
+                          profile, i](int pool_attempt) {
         EngineMetrics::ScopedStageAccumulator scope(&acc);
         prof::ScopedThreadProfile profile_scope(profile);
-        // Per-task trace context: the DispatchTask/Put/Fetch RPCs this
-        // task issues parent under the task's span id.
+        // Per-task trace context: the Put/Fetch RPCs this task issues
+        // parent under the task's span id.
         TraceContext task_trace = stage_trace;
         if (task_trace.trace_id != 0) {
           task_trace.parent_span_id = stage_trace.span_id;
@@ -237,16 +236,6 @@ void Context::RunStage(const std::string& name, int n,
             }
             throw TaskKilledError(name, i, attempt);
           }
-        }
-        if (fleet != nullptr) {
-          // Control-plane dispatch: a liveness/accounting roundtrip on
-          // the task's assigned daemon before the body runs in the
-          // driver (C++ closures do not serialize; see DESIGN.md §11).
-          // A dead daemon becomes a retryable failure — the fleet has
-          // already restarted a replacement by the time the retry round
-          // re-dispatches.
-          const Status st = fleet->DispatchTask(name, i, attempt);
-          if (!st.ok()) throw ExecutorLostError(name, i, st.ToString());
         }
         if (delay > 0) {
           // Interruptible: a speculative loser sleeping out an injected

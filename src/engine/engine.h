@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "codec/columnar.h"
+#include "codec/frame_file.h"
+#include "codec/record_codec.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/random.h"
@@ -29,7 +31,6 @@
 #include "engine/runtime_profile.h"
 #include "engine/scheduler.h"
 #include "engine/size_estimator.h"
-#include "engine/spill_codec.h"
 #include "engine/storage_level.h"
 #include "engine/trace.h"
 #include "net/deployment.h"
@@ -394,7 +395,7 @@ class Node : public NodeBase {
   /// degrade to MEMORY_ONLY (lineage recompute) with a warning.
   void EnableCache(StorageLevel level = StorageLevel::kMemoryOnly) {
     if (level == StorageLevel::kNone) level = StorageLevel::kMemoryOnly;
-    if constexpr (!spill::kSpillable<T>) {
+    if constexpr (!codec::kSpillable<T>) {
       if (level != StorageLevel::kMemoryOnly) {
         SPANGLE_LOG(Warning)
             << "storage level " << ToString(level) << " on node '" << name()
@@ -438,7 +439,7 @@ class Node : public NodeBase {
   /// block has on the wire) and credit the codec counters; non-static so
   /// the closure can reach this context's metrics.
   BlockManager::SpillFn MakeSpillFn() {
-    if constexpr (spill::kSpillable<T>) {
+    if constexpr (codec::kSpillable<T>) {
       EngineMetrics* metrics = &ctx()->metrics();
       return [metrics](const void* data, const std::string& path) -> uint64_t {
         const codec::EncodedFrame frame = EncodePartitionTimed(
@@ -454,13 +455,13 @@ class Node : public NodeBase {
   }
 
   static BlockManager::LoadFn MakeLoadFn() {
-    if constexpr (spill::kSpillable<T>) {
+    if constexpr (codec::kSpillable<T>) {
       return [](const std::string& path) -> BlockManager::DataPtr {
         // Decodes straight out of a transient mmap of the frame file
         // (ReadPartitionFile) into owned vectors, so the re-admitted
         // payload has no mapped bytes.
         return std::make_shared<const std::vector<T>>(
-            spill::ReadPartitionFile<T>(path));
+            codec::ReadPartitionFile<T>(path));
       };
     } else {
       return nullptr;
@@ -648,7 +649,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
       MutexLock lock(&mu_);
       if (!materialized_) return false;
     }
-    if constexpr (spill::kSpillable<Record>) {
+    if constexpr (codec::kSpillable<Record>) {
       if (this->ctx()->distributed()) {
         return this->ctx()->remote_shuffle()->ContainsAll(this->id(),
                                                           num_partitions());
@@ -751,7 +752,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
 
  protected:
   std::vector<Record> ComputePartition(int i) override {
-    if constexpr (spill::kSpillable<Record>) {
+    if constexpr (codec::kSpillable<Record>) {
       if (this->ctx()->distributed()) {
         auto bytes = this->ctx()->remote_shuffle()->FetchEncoded(this->id(), i);
         if (!bytes.has_value()) {
@@ -795,7 +796,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
     // unhashed (no byte codec to address the content with).
     StorageLevel level = StorageLevel::kMemoryOnly;
     uint64_t content_hash = 0;
-    if constexpr (spill::kSpillable<Record>) {
+    if constexpr (codec::kSpillable<Record>) {
       codec::EncodedFrame frame = EncodePartitionTimed(ctx->metrics(), records);
       if (ctx->distributed()) {
         // DISTRIBUTED data plane: the frame is shipped verbatim to the
@@ -1312,17 +1313,13 @@ class PairRdd {
           std::max(num_partitions(), other.num_partitions()));
     }
     PairRdd<K, V> left = PlacedBy(p);
-    PairRdd<K, W> right = other.PlacedBy2(p);
+    PairRdd<K, W> right = other.PlacedBy(p);
     return {std::move(left), std::move(right), p};
   }
 
- public:
-  /// Public alias of PlacedBy for use from AlignWith across types.
-  PairRdd<K, V> PlacedBy2(const std::shared_ptr<Partitioner<K>>& p) const {
-    return PlacedBy(p);
-  }
+  template <typename, typename>
+  friend class PairRdd;
 
- private:
   Rdd<Record> rdd_;
   std::shared_ptr<Partitioner<K>> partitioner_;
 };

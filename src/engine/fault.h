@@ -109,18 +109,6 @@ class TaskKilledError : public std::runtime_error {
                            " killed by chaos policy") {}
 };
 
-/// Thrown when a task's pre-execution dispatch to its executor daemon
-/// fails (DISTRIBUTED mode): the daemon died between scheduling and
-/// launch. Retryable — the fleet restarts a replacement before the retry
-/// round re-dispatches.
-class ExecutorLostError : public std::runtime_error {
- public:
-  ExecutorLostError(const std::string& stage, int task,
-                    const std::string& detail)
-      : std::runtime_error("task " + stage + "[" + std::to_string(task) +
-                           "] lost its executor daemon: " + detail) {}
-};
-
 /// Terminal job failure: retries and job attempts are exhausted.
 class JobFailedError : public std::runtime_error {
  public:

@@ -113,7 +113,6 @@ std::string MetricsJson(const EngineMetrics& metrics,
        << ",\"scraped\":" << (e.scraped ? "true" : "false")
        << ",\"blocks_held\":" << e.blocks_held
        << ",\"bytes_in_memory\":" << e.bytes_in_memory
-       << ",\"tasks_run\":" << e.tasks_run
        << ",\"spans_dropped\":" << e.spans_dropped
        << ",\"clock_offset_us\":" << e.clock_offset_us
        << ",\"restarts\":" << e.restarts << ",\"metrics\":[";
@@ -196,9 +195,6 @@ std::string MetricsPrometheus(const EngineMetrics& metrics,
       {"executor_bytes_in_memory", "gauge",
        "Bytes resident in the executor daemon's block store",
        [](const FleetExecutorStats& e) { return e.bytes_in_memory; }},
-      {"executor_tasks_run", "counter",
-       "Tasks dispatched to the executor daemon since it started",
-       [](const FleetExecutorStats& e) { return e.tasks_run; }},
       {"executor_spans_dropped", "counter",
        "Trace spans the executor daemon dropped to span-ring overflow",
        [](const FleetExecutorStats& e) { return e.spans_dropped; }},

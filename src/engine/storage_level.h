@@ -9,13 +9,14 @@ namespace spangle {
 ///  * kMemoryOnly    — kept on-heap; under memory pressure the block is
 ///                     dropped and the next access recomputes it.
 ///  * kMemoryAndDisk — kept on-heap; under memory pressure the block is
-///                     spilled to a local file (length-prefixed records,
-///                     the disk_persist.h format) and read back on demand.
+///                     spilled to a local file (one chunk frame, see
+///                     codec/frame_file.h) and read back on demand.
 ///  * kDiskOnly      — written straight to disk and never held in memory;
 ///                     every access streams the file back.
 ///
-/// Levels that require disk need a spillable record type (see
-/// spill_codec.h); otherwise they degrade to kMemoryOnly with a warning.
+/// Levels that require disk need a spillable record type
+/// (codec::kSpillable in codec/record_codec.h); otherwise they degrade to
+/// kMemoryOnly with a warning.
 enum class StorageLevel {
   kNone = 0,
   kMemoryOnly,

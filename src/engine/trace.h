@@ -120,7 +120,6 @@ struct FleetExecutorStats {
   bool scraped = false;           // at least one stats pull succeeded
   uint64_t blocks_held = 0;       // heartbeat / stats gauges
   uint64_t bytes_in_memory = 0;
-  uint64_t tasks_run = 0;
   uint64_t spans_dropped = 0;     // daemon span-ring overflow
   int64_t clock_offset_us = 0;    // daemon epoch - driver epoch
   uint64_t restarts = 0;          // times this slot's daemon was respawned

@@ -1,8 +1,6 @@
 #include "net/executor_daemon.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -209,38 +207,6 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       resp.AppendTo(resp_payload);
       return Status::OK();
     }
-    case MessageType::kDispatchTaskRequest: {
-      const uint64_t serve_start = NowMicros();
-      auto req = DispatchTaskRequest::Parse(req_payload.data(),
-                                            req_payload.size());
-      SPANGLE_RETURN_NOT_OK(req.status());
-      DispatchTaskResponse resp;
-      if (req->task_kind == "noop") {
-        // Liveness/accounting roundtrip; the task body runs in the driver.
-      } else if (req->task_kind == "echo") {
-        resp.result = req->payload;
-      } else if (req->task_kind == "sleep_us") {
-        errno = 0;
-        char* end = nullptr;
-        const long us = std::strtol(req->payload.c_str(), &end, 10);
-        if (errno != 0 || end == req->payload.c_str() || us < 0 ||
-            us > 10'000'000) {
-          return Status::InvalidArgument("sleep_us: bad duration '" +
-                                         req->payload + "'");
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(us));
-      } else {
-        return Status::InvalidArgument("unknown task kind '" +
-                                       req->task_kind + "'");
-      }
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
-      *resp_type = DispatchTaskResponse::kType;
-      resp.AppendTo(resp_payload);
-      RecordSpan(req->trace.trace_id, "serve_task", serve_start,
-                 req->trace.trace_id != 0 ? spans_.NextSpanId() : 0,
-                 req->trace.span_id);
-      return Status::OK();
-    }
     case MessageType::kHeartbeatRequest: {
       auto req = HeartbeatRequest::Parse(req_payload.data(),
                                          req_payload.size());
@@ -249,7 +215,6 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       resp.seq = req->seq;
       resp.blocks_held = blocks_.num_resident_blocks();
       resp.bytes_in_memory = blocks_.bytes_in_memory();
-      resp.tasks_run = tasks_run_.load(std::memory_order_relaxed);
       resp.now_us = NowMicros();
       *resp_type = HeartbeatResponse::kType;
       resp.AppendTo(resp_payload);
@@ -262,7 +227,6 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       resp.now_us = NowMicros();
       resp.blocks_held = blocks_.num_resident_blocks();
       resp.bytes_in_memory = blocks_.bytes_in_memory();
-      resp.tasks_run = tasks_run_.load(std::memory_order_relaxed);
       resp.spans_dropped = spans_.dropped();
       // Flatten the registry: scalars verbatim, histograms as
       // <name>_count / <name>_sum counters (the driver labels them with

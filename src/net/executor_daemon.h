@@ -1,7 +1,6 @@
 #ifndef SPANGLE_NET_EXECUTOR_DAEMON_H_
 #define SPANGLE_NET_EXECUTOR_DAEMON_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -75,7 +74,6 @@ class ExecutorDaemon {
   BlockManager blocks_;
   RpcServer server_;
   SpanRecorder spans_;
-  std::atomic<uint64_t> tasks_run_{0};
   const std::chrono::steady_clock::time_point start_time_;
 
   Mutex mu_{LockRank::kLeaf, "ExecutorDaemon::mu_"};

@@ -317,7 +317,7 @@ void ExecutorFleet::ReportFailure(int w, pid_t expected_pid) {
   // pid guard: a concurrent report already replaced this daemon.
   if (s.pid != expected_pid || expected_pid <= 0) return;
   // blocking-ok: kill+respawn must be atomic w.r.t. the slot table — a
-  // dispatcher grabbing mu_ mid-restart must never see a half-dead slot.
+  // put or fetch grabbing mu_ mid-restart must never see a half-dead slot.
   KillLocked(w);
   if (!options_.restart_on_failure) return;
   // blocking-ok: see KillLocked above — restart is atomic by design.
@@ -330,28 +330,6 @@ void ExecutorFleet::ReportFailure(int w, pid_t expected_pid) {
     SPANGLE_LOG(Warning) << "executor " << w
                          << " restart failed: " << st.ToString();
   }
-}
-
-Status ExecutorFleet::DispatchTask(const std::string& stage, int task,
-                                   int attempt) {
-  const int w = task % num_executors_;
-  pid_t pid = -1;
-  auto client = ClientFor(w, &pid);
-  if (client == nullptr) {
-    return Status::IOError("executor " + std::to_string(w) + " is down");
-  }
-  DispatchTaskRequest req;
-  req.stage = stage;
-  req.task = task;
-  req.attempt = attempt;
-  const uint64_t start = StampTrace(&req.trace);
-  auto resp = client->TypedCall<DispatchTaskRequest, DispatchTaskResponse>(req);
-  RecordClientSpan(req.trace, "dispatch_task", start);
-  if (!resp.ok()) {
-    ReportFailure(w, pid);
-    return resp.status();
-  }
-  return Status::OK();
 }
 
 Result<PutBlockResponse> ExecutorFleet::PutBlock(uint64_t node, int partition,
@@ -454,7 +432,6 @@ Result<HeartbeatResponse> ExecutorFleet::Heartbeat(int w) {
     FleetExecutorStats& st = stats_[w];
     st.blocks_held = resp->blocks_held;
     st.bytes_in_memory = resp->bytes_in_memory;
-    st.tasks_run = resp->tasks_run;
     UpdateClockOffsetLocked(w, resp->now_us, t0 + (t1 - t0) / 2);
     return resp;
   }
@@ -515,7 +492,6 @@ Status ExecutorFleet::ScrapeStats(int w) {
   st.scraped = true;
   st.blocks_held = resp->blocks_held;
   st.bytes_in_memory = resp->bytes_in_memory;
-  st.tasks_run = resp->tasks_run;
   st.spans_dropped = resp->spans_dropped;
   UpdateClockOffsetLocked(w, resp->now_us, t0 + (t1 - t0) / 2);
   st.metric_names.clear();

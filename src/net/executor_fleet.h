@@ -62,13 +62,6 @@ class ExecutorFleet {
   /// pid of executor w's current daemon process, or -1 when down.
   pid_t executor_pid(int w) EXCLUDES(mu_);
 
-  /// Liveness/accounting roundtrip before a task body runs in the driver.
-  /// A dead daemon surfaces as a non-OK Status; the daemon is reported
-  /// failed (and restarted) before returning, so the caller's retry finds
-  /// a replacement.
-  Status DispatchTask(const std::string& stage, int task, int attempt)
-      EXCLUDES(mu_);
-
   /// Stores one encoded shuffle partition (a chunk frame, carried
   /// verbatim) on its owner daemon. `content_hash` lets the daemon
   /// validate the frame on receipt and dedup identical re-stores; the
@@ -93,7 +86,7 @@ class ExecutorFleet {
   /// One heartbeat probe of executor w. A miss is counted and, past
   /// heartbeat_miss_limit consecutive misses, fails the daemon. A
   /// success records the RTT histogram, refreshes executor w's gauges
-  /// (blocks_held / bytes_in_memory / tasks_run), and re-estimates its
+  /// (blocks_held / bytes_in_memory), and re-estimates its
   /// clock offset from the RTT midpoint.
   Result<HeartbeatResponse> Heartbeat(int w) EXCLUDES(mu_);
 

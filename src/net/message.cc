@@ -151,18 +151,15 @@ Status ReadTrace(Reader* r, TraceHeader* t) {
 }  // namespace
 
 bool IsValidMessageType(uint8_t raw) {
-  return raw >= static_cast<uint8_t>(MessageType::kError) &&
-         raw <= static_cast<uint8_t>(MessageType::kStatsResponse);
+  return raw == static_cast<uint8_t>(MessageType::kError) ||
+         (raw >= static_cast<uint8_t>(MessageType::kPutBlockRequest) &&
+          raw <= static_cast<uint8_t>(MessageType::kStatsResponse));
 }
 
 const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kError:
       return "Error";
-    case MessageType::kDispatchTaskRequest:
-      return "DispatchTaskRequest";
-    case MessageType::kDispatchTaskResponse:
-      return "DispatchTaskResponse";
     case MessageType::kPutBlockRequest:
       return "PutBlockRequest";
     case MessageType::kPutBlockResponse:
@@ -219,44 +216,6 @@ Result<ErrorResponse> ErrorResponse::Parse(const char* data, size_t size) {
   ErrorResponse m;
   SPANGLE_RETURN_NOT_OK(r.ReadU8(&m.code));
   SPANGLE_RETURN_NOT_OK(r.ReadBytes(&m.message));
-  SPANGLE_RETURN_NOT_OK(r.Done());
-  return m;
-}
-
-void DispatchTaskRequest::AppendTo(std::string* out) const {
-  PutBytes(stage, out);
-  PutI32(task, out);
-  PutI32(attempt, out);
-  PutBytes(task_kind, out);
-  PutBytes(payload, out);
-  PutTrace(trace, out);
-}
-
-// spangle-lint: untrusted
-Result<DispatchTaskRequest> DispatchTaskRequest::Parse(const char* data,
-                                                       size_t size) {
-  Reader r(data, size);
-  DispatchTaskRequest m;
-  SPANGLE_RETURN_NOT_OK(r.ReadBytes(&m.stage));
-  SPANGLE_RETURN_NOT_OK(r.ReadI32(&m.task));
-  SPANGLE_RETURN_NOT_OK(r.ReadI32(&m.attempt));
-  SPANGLE_RETURN_NOT_OK(r.ReadBytes(&m.task_kind));
-  SPANGLE_RETURN_NOT_OK(r.ReadBytes(&m.payload));
-  SPANGLE_RETURN_NOT_OK(ReadTrace(&r, &m.trace));
-  SPANGLE_RETURN_NOT_OK(r.Done());
-  return m;
-}
-
-void DispatchTaskResponse::AppendTo(std::string* out) const {
-  PutBytes(result, out);
-}
-
-// spangle-lint: untrusted
-Result<DispatchTaskResponse> DispatchTaskResponse::Parse(const char* data,
-                                                         size_t size) {
-  Reader r(data, size);
-  DispatchTaskResponse m;
-  SPANGLE_RETURN_NOT_OK(r.ReadBytes(&m.result));
   SPANGLE_RETURN_NOT_OK(r.Done());
   return m;
 }
@@ -379,7 +338,6 @@ void HeartbeatResponse::AppendTo(std::string* out) const {
   PutU64(seq, out);
   PutU64(blocks_held, out);
   PutU64(bytes_in_memory, out);
-  PutU64(tasks_run, out);
   PutU64(now_us, out);
 }
 
@@ -391,7 +349,6 @@ Result<HeartbeatResponse> HeartbeatResponse::Parse(const char* data,
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.seq));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.blocks_held));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.bytes_in_memory));
-  SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.tasks_run));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.now_us));
   SPANGLE_RETURN_NOT_OK(r.Done());
   return m;
@@ -434,7 +391,6 @@ void StatsResponse::AppendTo(std::string* out) const {
   PutU64(now_us, out);
   PutU64(blocks_held, out);
   PutU64(bytes_in_memory, out);
-  PutU64(tasks_run, out);
   PutU64(spans_dropped, out);
   PutU32(static_cast<uint32_t>(metrics.size()), out);
   for (const StatsMetric& m : metrics) {
@@ -460,7 +416,6 @@ Result<StatsResponse> StatsResponse::Parse(const char* data, size_t size) {
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.now_us));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.blocks_held));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.bytes_in_memory));
-  SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.tasks_run));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.spans_dropped));
   uint32_t num_metrics = 0;
   SPANGLE_RETURN_NOT_OK(r.ReadU32(&num_metrics));

@@ -14,11 +14,10 @@ namespace net {
 /// Wire message kinds. Every RPC is one request frame answered by exactly
 /// one response frame; kError may answer any request (it carries a Status
 /// the client re-raises). Values are part of the wire format — append
-/// only, never renumber.
+/// only, never renumber. Values 2 and 3 are retired (they carried a
+/// per-task dispatch that no longer exists) and are never reused.
 enum class MessageType : uint8_t {
   kError = 1,
-  kDispatchTaskRequest = 2,
-  kDispatchTaskResponse = 3,
   kPutBlockRequest = 4,
   kPutBlockResponse = 5,
   kFetchBlockRequest = 6,
@@ -37,7 +36,7 @@ enum class MessageType : uint8_t {
 /// frames whose type byte fails this, so garbage streams die early.
 bool IsValidMessageType(uint8_t raw);
 
-/// Human-readable name ("DispatchTaskRequest"), for diagnostics.
+/// Human-readable name ("PutBlockRequest"), for diagnostics.
 const char* MessageTypeName(MessageType type);
 
 // Message payload encodings are flat little-endian fields in declaration
@@ -72,33 +71,6 @@ struct TraceHeader {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
-};
-
-/// Driver -> executor: account one task attempt on its assigned daemon.
-/// `task_kind` selects a registered server-side body ("noop", "echo",
-/// "sleep_us"); the RPC doubles as the liveness probe that turns a dead
-/// daemon into a retryable ExecutorLostError (see DESIGN.md §11).
-struct DispatchTaskRequest {
-  static constexpr MessageType kType = MessageType::kDispatchTaskRequest;
-
-  std::string stage;
-  int32_t task = 0;
-  int32_t attempt = 0;
-  std::string task_kind = "noop";
-  std::string payload;
-  TraceHeader trace;
-
-  void AppendTo(std::string* out) const;
-  static Result<DispatchTaskRequest> Parse(const char* data, size_t size);
-};
-
-struct DispatchTaskResponse {
-  static constexpr MessageType kType = MessageType::kDispatchTaskResponse;
-
-  std::string result;
-
-  void AppendTo(std::string* out) const;
-  static Result<DispatchTaskResponse> Parse(const char* data, size_t size);
 };
 
 /// Driver -> executor: store one encoded shuffle partition on the daemon
@@ -199,7 +171,6 @@ struct HeartbeatResponse {
   uint64_t seq = 0;
   uint64_t blocks_held = 0;
   uint64_t bytes_in_memory = 0;
-  uint64_t tasks_run = 0;
   uint64_t now_us = 0;
 
   void AppendTo(std::string* out) const;
@@ -260,7 +231,6 @@ struct StatsResponse {
   uint64_t now_us = 0;  // daemon clock, same epoch as span timestamps
   uint64_t blocks_held = 0;
   uint64_t bytes_in_memory = 0;
-  uint64_t tasks_run = 0;
   uint64_t spans_dropped = 0;  // ring overflow count since daemon start
   std::vector<StatsMetric> metrics;
   std::vector<StatsSpan> spans;

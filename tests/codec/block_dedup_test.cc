@@ -133,7 +133,9 @@ TEST(BlockDedup, DifferentContentAndStaleEntriesDoNotDedup) {
 // mapped block is pointless, so the evictor must skip it.
 TEST(BlockDedup, MappedReadbackBytesAreBudgetExempt) {
   EngineMetrics metrics;
-  BlockManager bm({.memory_budget_bytes = 1000}, 2, &metrics);
+  StorageOptions storage;
+  storage.memory_budget_bytes = 1000;
+  BlockManager bm(storage, 2, &metrics);
 
   const auto spill = [](const void* data,
                         const std::string& path) -> uint64_t {

@@ -9,8 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "codec/frame_file.h"
+#include "codec/record_codec.h"
 #include "engine/engine.h"
-#include "engine/spill_codec.h"
 #include "matrix/mask_matrix.h"
 
 namespace spangle {
@@ -18,14 +19,14 @@ namespace {
 
 // The codec must cover every record type the engine caches; regressions
 // here silently turn MEMORY_AND_DISK into MEMORY_ONLY.
-static_assert(spill::kSpillable<int>);
-static_assert(spill::kSpillable<double>);
-static_assert(spill::kSpillable<std::string>);
-static_assert(spill::kSpillable<std::pair<uint64_t, int>>);
-static_assert(spill::kSpillable<std::vector<double>>);
-static_assert(spill::kSpillable<std::pair<uint64_t, std::vector<double>>>);
-static_assert(!spill::kSpillable<std::function<void()>>);
-static_assert(!spill::kSpillable<MaskTile>);
+static_assert(codec::kSpillable<int>);
+static_assert(codec::kSpillable<double>);
+static_assert(codec::kSpillable<std::string>);
+static_assert(codec::kSpillable<std::pair<uint64_t, int>>);
+static_assert(codec::kSpillable<std::vector<double>>);
+static_assert(codec::kSpillable<std::pair<uint64_t, std::vector<double>>>);
+static_assert(!codec::kSpillable<std::function<void()>>);
+static_assert(!codec::kSpillable<MaskTile>);
 
 std::vector<int> Iota(int n) {
   std::vector<int> v(n);
@@ -37,13 +38,19 @@ std::vector<int> Iota(int n) {
 // Direct BlockManager unit tests (no engine on top).
 // ---------------------------------------------------------------------------
 
+StorageOptions Budget(uint64_t bytes) {
+  StorageOptions options;
+  options.memory_budget_bytes = bytes;
+  return options;
+}
+
 BlockManager::DataPtr MakeBlock(int fill, size_t n = 10) {
   return std::make_shared<const std::vector<int>>(n, fill);
 }
 
 TEST(BlockManagerTest, LruEvictionUnderBudget) {
   EngineMetrics metrics;
-  BlockManager bm({.memory_budget_bytes = 100}, 2, &metrics);
+  BlockManager bm(Budget(100), 2, &metrics);
   // Three 40-byte blocks into a 100-byte budget: the third insert evicts
   // the least recently used (block 0).
   bm.Put({1, 0}, MakeBlock(0), 40, StorageLevel::kMemoryOnly, nullptr,
@@ -67,7 +74,7 @@ TEST(BlockManagerTest, LruEvictionUnderBudget) {
 
 TEST(BlockManagerTest, GetTouchesLruOrder) {
   EngineMetrics metrics;
-  BlockManager bm({.memory_budget_bytes = 100}, 2, &metrics);
+  BlockManager bm(Budget(100), 2, &metrics);
   bm.Put({1, 0}, MakeBlock(0), 40, StorageLevel::kMemoryOnly, nullptr,
          nullptr);
   bm.Put({1, 1}, MakeBlock(1), 40, StorageLevel::kMemoryOnly, nullptr,
@@ -82,7 +89,7 @@ TEST(BlockManagerTest, GetTouchesLruOrder) {
 
 TEST(BlockManagerTest, OversizedBlockStillInserts) {
   EngineMetrics metrics;
-  BlockManager bm({.memory_budget_bytes = 10}, 2, &metrics);
+  BlockManager bm(Budget(10), 2, &metrics);
   // A single block larger than the whole budget: everything else is
   // evicted, but the block itself must still be usable (Spark semantics:
   // the budget bounds steady state, not a single partition).
@@ -172,7 +179,7 @@ TEST(BoundedCacheTest, MemoryAndDiskSpillsInsteadOfRecomputing) {
 }
 
 TEST(BoundedCacheTest, DiskOnlyHoldsNoMemory) {
-  Context ctx(2, 0, 0, StorageOptions{.memory_budget_bytes = 1 << 20});
+  Context ctx(2, 0, 0, Budget(1 << 20));
   auto rdd = ctx.Parallelize(Iota(5000), 4);
   auto mapped = rdd.Map([](const int& x) { return x * 3; });
   mapped.Cache(StorageLevel::kDiskOnly);
@@ -230,7 +237,7 @@ TEST(BoundedCacheTest, UnspillableTypeDegradesToMemoryOnly) {
 }
 
 TEST(BoundedCacheTest, FailExecutorDropsSpilledCopiesToo) {
-  Context ctx(4, 0, 0, StorageOptions{.memory_budget_bytes = 1});
+  Context ctx(4, 0, 0, Budget(1));
   // Budget of one byte: every MEMORY_AND_DISK partition lives on disk.
   auto rdd = ctx.Parallelize(Iota(8000), 8).Map([](const int& x) {
     return x - 5;
@@ -255,9 +262,9 @@ TEST(SpillCodecTest, PartitionFileRoundTrip) {
     recs.emplace_back(i, std::vector<double>(i % 7, 0.5 * i));
   }
   const std::string path = ::testing::TempDir() + "spangle_codec_rt.spill";
-  const uint64_t bytes = spill::WritePartitionFile<Rec>(recs, path);
+  const uint64_t bytes = codec::WritePartitionFile<Rec>(recs, path);
   EXPECT_GT(bytes, 0u);
-  auto back = spill::ReadPartitionFile<Rec>(path);
+  auto back = codec::ReadPartitionFile<Rec>(path);
   EXPECT_EQ(back, recs);
   std::remove(path.c_str());
 }

@@ -24,14 +24,6 @@ std::vector<KV> MakePairs(int n) {
   return out;
 }
 
-int CountStagesNamed(const EngineMetrics& metrics, const std::string& what) {
-  int n = 0;
-  for (const auto& s : metrics.StageStats()) {
-    if (s.name.find(what) != std::string::npos) ++n;
-  }
-  return n;
-}
-
 // ---- Plan structure ----
 
 TEST(SchedulerPlanTest, NarrowLineagePlansOneResultStage) {
@@ -101,7 +93,9 @@ TEST(SchedulerPlanTest, IndependentShufflesCanOverlap) {
   EXPECT_EQ(plan.MaxOverlapWidth(), 2);
   // Neither shuffle depends on the other.
   for (const auto& s : plan.stages) {
-    if (s.is_shuffle) EXPECT_TRUE(s.deps.empty());
+    if (s.is_shuffle) {
+      EXPECT_TRUE(s.deps.empty());
+    }
   }
 }
 

@@ -195,8 +195,9 @@ TEST(DistributedChaosTest, ExternalSigkillDetectedOnNextAction) {
   ASSERT_GT(pid, 0);
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
 
-  // The next action probes the dead daemon, reports the failure,
-  // restarts a replacement, and re-materializes the lost shard.
+  // The next action notices the death through the ProbeBlock/FetchBlock
+  // that needs the dead daemon's shard: the fleet reports the failure,
+  // restarts a replacement, and lineage re-materializes the lost shard.
   const auto second = counts.Collect();
   EXPECT_EQ(second, first);
   EXPECT_GE(dist.metrics().executor_restarts.load(), 1u);
@@ -264,10 +265,11 @@ bool Alive(pid_t pid) { return pid > 0 && ::kill(pid, 0) == 0; }
 
 TEST(DistributedChaosTest, DeadDaemonWithoutRestartFailsJobNotProcess) {
   // A daemon that dies and is not replaced leaves the fleet unable to
-  // run or hold its shard: the job must fail with a typed error, not
-  // abort the driver, and the surviving daemon must stay up. The daemon
-  // is dead before the job starts, so this fails at task dispatch; the
-  // next case covers a store that fails inside a reduce task.
+  // hold its shard: the job must fail with a typed error, not abort the
+  // driver, and the surviving daemon must stay up. The daemon is dead
+  // before the job starts; tasks do not touch it until reduce task 1
+  // stores its partition there. That store fails, the stage re-plans
+  // from lineage, and the re-plan cannot succeed without the daemon.
   DeploymentOptions d = Distributed(2);
   d.distributed.restart_on_failure = false;
   Context ctx(2, 4, 0, {}, d);
@@ -280,14 +282,35 @@ TEST(DistributedChaosTest, DeadDaemonWithoutRestartFailsJobNotProcess) {
   auto placed = PairRdd<int, int>(ctx.Parallelize(std::move(data)))
                     .PartitionBy(std::make_shared<HashPartitioner<int>>(4));
   EXPECT_THROW(placed.AsRdd().Count(), JobFailedError);
+  EXPECT_GE(ctx.metrics().stage_reruns.load(), 1u)
+      << "the failed store must re-plan from lineage";
   EXPECT_EQ(ctx.fleet()->executor_pid(0), survivor);
   EXPECT_TRUE(Alive(survivor));
 }
 
+TEST(DistributedChaosTest, DeadDaemonDoesNotFailTasksItNeverTouches) {
+  // Task bodies run in the driver; a daemon matters only to the puts,
+  // fetches and probes that address its shard. A shuffle-free job never
+  // addresses a daemon, so a dead, unreplaced one cannot fail it.
+  DeploymentOptions d = Distributed(2);
+  d.distributed.restart_on_failure = false;
+  Context ctx(2, 4, 0, {}, d);
+  ctx.FailExecutor(1);
+  EXPECT_EQ(ctx.fleet()->executor_pid(1), -1);
+
+  std::vector<int> data(300);
+  for (int i = 0; i < 300; ++i) data[i] = i;
+  const size_t n = ctx.Parallelize(std::move(data), 6)
+                         .Map([](const int& v) { return v * 3; })
+                         .Count();
+  EXPECT_EQ(n, 300u);
+  EXPECT_EQ(ctx.metrics().task_retries.load(), 0u);
+}
+
 TEST(DistributedChaosTest, StoreFailureInsideReduceTaskFailsJobNotProcess) {
-  // The daemon dies *inside* reduce task 1's body — after the task passed
-  // its dispatch and moved its records out of the map buckets — so the
-  // failure surfaces at that task's own shuffle store. It must not be
+  // The daemon dies *inside* reduce task 1's body — after the task moved
+  // its records out of the map buckets — so the failure surfaces at that
+  // task's own shuffle store. It must not be
   // retried as a task (the buckets are already drained): it escalates to
   // a lineage re-plan, which cannot succeed without the daemon, so the
   // job fails with a typed error and the driver lives on.

@@ -49,25 +49,6 @@ TEST(MessageCodec, ErrorResponseRejectsBogusCode) {
   EXPECT_EQ(parsed->ToStatus().code(), StatusCode::kInternal);
 }
 
-TEST(MessageCodec, DispatchTaskRoundTrip) {
-  DispatchTaskRequest req;
-  req.stage = "reduceByKey/map";
-  req.task = 7;
-  req.attempt = 2;
-  req.task_kind = "echo";
-  req.payload = std::string("\x00\x01\xff payload", 12);
-  const DispatchTaskRequest got = RoundTrip(req);
-  EXPECT_EQ(got.stage, req.stage);
-  EXPECT_EQ(got.task, 7);
-  EXPECT_EQ(got.attempt, 2);
-  EXPECT_EQ(got.task_kind, "echo");
-  EXPECT_EQ(got.payload, req.payload);
-
-  DispatchTaskResponse resp;
-  resp.result = "ok";
-  EXPECT_EQ(RoundTrip(resp).result, "ok");
-}
-
 TEST(MessageCodec, BlockMessagesRoundTrip) {
   PutBlockRequest put;
   put.node = 0xdeadbeefcafef00dULL;
@@ -118,34 +99,25 @@ TEST(MessageCodec, HeartbeatAndShutdownRoundTrip) {
   hbr.seq = 12;
   hbr.blocks_held = 34;
   hbr.bytes_in_memory = 56;
-  hbr.tasks_run = 78;
   const HeartbeatResponse got = RoundTrip(hbr);
   EXPECT_EQ(got.seq, 12u);
   EXPECT_EQ(got.blocks_held, 34u);
   EXPECT_EQ(got.bytes_in_memory, 56u);
-  EXPECT_EQ(got.tasks_run, 78u);
 
   RoundTrip(ShutdownRequest());
   RoundTrip(ShutdownResponse());
 }
 
 TEST(MessageCodec, TraceHeaderRoundTripsOnDataPlaneRequests) {
-  DispatchTaskRequest dispatch;
-  dispatch.stage = "s";
-  dispatch.trace.trace_id = 0x1111222233334444ULL;
-  dispatch.trace.span_id = 0x5555666677778888ULL;
-  dispatch.trace.parent_span_id = 7;
-  const DispatchTaskRequest d = RoundTrip(dispatch);
-  EXPECT_EQ(d.trace.trace_id, dispatch.trace.trace_id);
-  EXPECT_EQ(d.trace.span_id, dispatch.trace.span_id);
-  EXPECT_EQ(d.trace.parent_span_id, 7u);
-
   PutBlockRequest put;
   put.bytes = "b";
-  put.trace.trace_id = 9;
-  put.trace.span_id = 10;
-  EXPECT_EQ(RoundTrip(put).trace.trace_id, 9u);
-  EXPECT_EQ(RoundTrip(put).trace.span_id, 10u);
+  put.trace.trace_id = 0x1111222233334444ULL;
+  put.trace.span_id = 0x5555666677778888ULL;
+  put.trace.parent_span_id = 7;
+  const PutBlockRequest p = RoundTrip(put);
+  EXPECT_EQ(p.trace.trace_id, put.trace.trace_id);
+  EXPECT_EQ(p.trace.span_id, put.trace.span_id);
+  EXPECT_EQ(p.trace.parent_span_id, 7u);
 
   FetchBlockRequest fetch;
   fetch.trace.trace_id = 11;
@@ -154,7 +126,7 @@ TEST(MessageCodec, TraceHeaderRoundTripsOnDataPlaneRequests) {
   EXPECT_EQ(RoundTrip(fetch).trace.parent_span_id, 12u);
 
   // Default (untraced) headers survive as all-zero.
-  const DispatchTaskRequest untraced = RoundTrip(DispatchTaskRequest());
+  const FetchBlockRequest untraced = RoundTrip(FetchBlockRequest());
   EXPECT_EQ(untraced.trace.trace_id, 0u);
   EXPECT_EQ(untraced.trace.span_id, 0u);
 }
@@ -169,7 +141,6 @@ TEST(MessageCodec, StatsMessagesRoundTrip) {
   resp.now_us = 123456789;
   resp.blocks_held = 3;
   resp.bytes_in_memory = 1 << 20;
-  resp.tasks_run = 17;
   resp.spans_dropped = 2;
   resp.metrics.push_back({"tasks_run", 0, 17});
   resp.metrics.push_back({"bytes_cached", 1, 4096});
@@ -185,7 +156,6 @@ TEST(MessageCodec, StatsMessagesRoundTrip) {
   EXPECT_EQ(got.now_us, resp.now_us);
   EXPECT_EQ(got.blocks_held, 3u);
   EXPECT_EQ(got.bytes_in_memory, resp.bytes_in_memory);
-  EXPECT_EQ(got.tasks_run, 17u);
   EXPECT_EQ(got.spans_dropped, 2u);
   ASSERT_EQ(got.metrics.size(), 2u);
   EXPECT_EQ(got.metrics[0].name, "tasks_run");
@@ -215,13 +185,20 @@ TEST(MessageCodec, HeartbeatResponseCarriesDaemonClock) {
 }
 
 TEST(MessageCodec, EmptyStringsRoundTrip) {
-  DispatchTaskRequest req;
-  req.stage = "";
-  req.task_kind = "";
-  req.payload = "";
-  const DispatchTaskRequest got = RoundTrip(req);
-  EXPECT_EQ(got.stage, "");
-  EXPECT_EQ(got.payload, "");
+  PutBlockRequest put;
+  put.bytes = "";
+  EXPECT_EQ(RoundTrip(put).bytes, "");
+
+  ErrorResponse err;
+  err.code = static_cast<uint8_t>(StatusCode::kIOError);
+  err.message = "";
+  EXPECT_EQ(RoundTrip(err).message, "");
+
+  StatsResponse stats;
+  stats.metrics.push_back({"", 0, 1});
+  const StatsResponse got = RoundTrip(stats);
+  ASSERT_EQ(got.metrics.size(), 1u);
+  EXPECT_EQ(got.metrics[0].name, "");
 }
 
 // Every truncation point of every message must parse to an error, not
@@ -240,11 +217,12 @@ void ExpectAllTruncationsFail(const T& msg) {
 }
 
 TEST(MessageCodec, TruncationsAndTrailingBytesFail) {
-  DispatchTaskRequest dispatch;
-  dispatch.stage = "stage";
-  dispatch.task_kind = "noop";
-  dispatch.payload = "xyz";
-  ExpectAllTruncationsFail(dispatch);
+  ErrorResponse err = ErrorResponse::FromStatus(Status::IOError("xyz"));
+  ExpectAllTruncationsFail(err);
+  FetchBlockRequest fetch_req;
+  fetch_req.node = 3;
+  fetch_req.trace.trace_id = 4;
+  ExpectAllTruncationsFail(fetch_req);
   PutBlockRequest put;
   put.node = 1;
   put.partition = 2;
@@ -297,12 +275,11 @@ TEST(MessageCodec, BoolFieldRejectsNonBoolByte) {
 TEST(MessageCodec, DeclaredLengthPastBufferFails) {
   // A string whose u32 length prefix claims more bytes than the buffer
   // holds must not be believed.
-  DispatchTaskResponse resp;
-  resp.result = "abcd";
+  ErrorResponse resp = ErrorResponse::FromStatus(Status::IOError("abcd"));
   std::string bytes;
   resp.AppendTo(&bytes);
-  bytes[0] = '\xff';  // length prefix low byte: now claims 0x000000fb more
-  EXPECT_FALSE(DispatchTaskResponse::Parse(bytes.data(), bytes.size()).ok());
+  bytes[1] = '\xff';  // length prefix low byte: now claims 0x000000fb more
+  EXPECT_FALSE(ErrorResponse::Parse(bytes.data(), bytes.size()).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -332,6 +309,21 @@ TEST(FrameCodec, UnknownTypeFails) {
   EXPECT_FALSE(ParseFrameHeader(frame.data()).ok());
 }
 
+TEST(FrameCodec, RetiredTypeFails) {
+  // Types 2 and 3 carried a per-task dispatch that no longer exists;
+  // their bytes stay rejected rather than silently reused.
+  for (const char retired : {'\x02', '\x03'}) {
+    std::string frame;
+    EncodeFrame(MessageType::kHeartbeatRequest, "", &frame);
+    frame[4] = retired;
+    FrameDecoder dec;
+    dec.Feed(frame.data(), frame.size());
+    const auto next = dec.Next();
+    ASSERT_FALSE(next.ok());
+    EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(FrameCodec, NonzeroReservedFails) {
   std::string frame;
   EncodeFrame(MessageType::kHeartbeatRequest, "", &frame);
@@ -351,7 +343,7 @@ TEST(FrameCodec, OversizedLengthFails) {
 
 TEST(FrameDecoderTest, TruncatedFrameIsNeedMoreNotError) {
   std::string frame;
-  EncodeFrame(MessageType::kDispatchTaskRequest, "abcdef", &frame);
+  EncodeFrame(MessageType::kPutBlockRequest, "abcdef", &frame);
   FrameDecoder dec;
   dec.Feed(frame.data(), frame.size() - 1);  // one byte short
   auto next = dec.Next();
@@ -389,11 +381,6 @@ TEST(FrameDecoderTest, ArbitraryChunkingRoundTrips) {
     frames.emplace_back(t, std::move(payload));
   };
   add(MessageType::kError, ErrorResponse::FromStatus(Status::IOError("x")));
-  DispatchTaskRequest dispatch;
-  dispatch.stage = "s";
-  dispatch.payload = std::string(1000, 'p');
-  add(MessageType::kDispatchTaskRequest, dispatch);
-  add(MessageType::kDispatchTaskResponse, DispatchTaskResponse());
   PutBlockRequest put;
   put.node = 5;
   put.bytes = std::string(65536, 'b');
@@ -416,7 +403,7 @@ TEST(FrameDecoderTest, ArbitraryChunkingRoundTrips) {
   stats.metrics.push_back({"tasks_run", 0, 3});
   StatsSpan stats_span;
   stats_span.trace_id = 2;
-  stats_span.name = "serve_task";
+  stats_span.name = "serve_fetch";
   stats.spans.push_back(stats_span);
   add(MessageType::kStatsResponse, stats);
 

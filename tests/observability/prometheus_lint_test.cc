@@ -303,7 +303,6 @@ TEST(PrometheusLintTest, FleetExpositionIsClean) {
     e.scraped = true;
     e.blocks_held = 4 + static_cast<uint64_t>(w);
     e.bytes_in_memory = 1 << 20;
-    e.tasks_run = 17;
     e.spans_dropped = w == 1 ? 2 : 0;
     e.clock_offset_us = -1500 + w;
     e.restarts = static_cast<uint64_t>(w);

@@ -177,7 +177,7 @@ TEST(TracePropagationTest, MergedTraceHasDriverAndDaemonLanes) {
 
   // Driver client spans exist for both data-plane directions.
   EXPECT_FALSE(LinesContaining(trace, "\"put_block\"").empty());
-  EXPECT_FALSE(LinesContaining(trace, "\"dispatch_task\"").empty());
+  EXPECT_FALSE(LinesContaining(trace, "\"fetch_block\"").empty());
 
   // Daemon serve spans were pulled back and merged.
   const auto serves = LinesContaining(trace, "\"serve_put\"");

@@ -42,12 +42,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if (m.ok()) (void)m->ToStatus();
       break;
     }
-    case MessageType::kDispatchTaskRequest:
-      ParseOne<spangle::net::DispatchTaskRequest>(payload, n);
-      break;
-    case MessageType::kDispatchTaskResponse:
-      ParseOne<spangle::net::DispatchTaskResponse>(payload, n);
-      break;
     case MessageType::kPutBlockRequest:
       ParseOne<spangle::net::PutBlockRequest>(payload, n);
       break;
