@@ -1,9 +1,6 @@
 #include "array/array_rdd.h"
 
-#include <cstring>
 #include <unordered_map>
-
-#include "engine/disk_persist.h"
 
 namespace spangle {
 
@@ -187,33 +184,6 @@ ArrayRdd ArrayRdd::ConvertMode(ChunkMode mode) const {
   out.mapper_ = mapper_;
   out.chunks_ = std::move(converted);
   return out;
-}
-
-ArrayRdd ArrayRdd::SpillToDisk(const std::string& dir,
-                               const std::string& prefix) const {
-  using Record = std::pair<ChunkId, Chunk>;
-  auto spilled = PersistToDisk<Record>(
-      chunks_.AsRdd(), dir, prefix,
-      [](const Record& rec, std::string* out) {
-        out->append(reinterpret_cast<const char*>(&rec.first),
-                    sizeof(rec.first));
-        rec.second.AppendTo(out);
-      },
-      [](const char* data, size_t size) {
-        SPANGLE_CHECK_GE(size, sizeof(ChunkId));
-        ChunkId id;
-        std::memcpy(&id, data, sizeof(id));
-        size_t consumed = 0;
-        auto chunk = Chunk::FromBytes(data + sizeof(id),
-                                      size - sizeof(id), &consumed);
-        SPANGLE_CHECK(chunk.ok()) << chunk.status().ToString();
-        return Record(id, std::move(*chunk));
-      });
-  // Keys are unchanged, so the original partitioner still describes the
-  // placement (partition files were written per input partition).
-  return ArrayRdd(metadata(),
-                  PairRdd<ChunkId, Chunk>(std::move(spilled),
-                                          chunks_.partitioner()));
 }
 
 std::vector<CellValue> ArrayRdd::CollectCells() const {

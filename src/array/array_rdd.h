@@ -119,13 +119,6 @@ class ArrayRdd {
   /// All valid cells with logical coordinates (driver-side; test/debug).
   std::vector<CellValue> CollectCells() const;
 
-  /// Spark's MEMORY_AND_DISK storage level for arrays: evaluates the
-  /// chunks once, spills each partition to `dir/<prefix>_p<i>.part`, and
-  /// returns an array backed by the spilled files (no memory held, no
-  /// lineage recomputation on access). Files are the caller's to remove.
-  ArrayRdd SpillToDisk(const std::string& dir,
-                       const std::string& prefix) const;
-
  private:
   std::shared_ptr<const Mapper> mapper_;
   PairRdd<ChunkId, Chunk> chunks_;

@@ -40,8 +40,8 @@ namespace codec {
 /// field, chained over everything after it (table + slabs) — so record
 /// count, section layout, and every payload byte are all committed. It is
 /// the frame's *content address*: equal hash <=> equal frame bytes (up to
-/// hash collision), which is what lets BlockManager dedup a speculation
-/// winner, a task retry, and a re-planned stage to one stored block, and
+/// hash collision), which is what lets BlockManager dedup a task retry,
+/// a partial shuffle rerun, and a re-planned stage to one stored block, and
 /// lets the RPC layer turn silent wire corruption into a retryable fetch
 /// error.
 ///

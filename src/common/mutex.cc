@@ -40,8 +40,6 @@ const char* LockRankName(LockRank rank) {
       return "kSessionQueue";
     case LockRank::kJobServer:
       return "kJobServer";
-    case LockRank::kTaskGate:
-      return "kTaskGate";
   }
   return "?";
 }

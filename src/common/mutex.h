@@ -45,13 +45,10 @@ namespace spangle {
 /// The engine-wide lock hierarchy, outermost (acquired first) to
 /// innermost. The invariant: while holding a lock of rank r, a thread may
 /// only acquire locks of *strictly lower* rank. Distinct mutexes may share
-/// a rank only if they are never held together (e.g. per-task gates).
+/// a rank only if they are never held together (e.g. per-session queues).
 ///
 ///   rank | who                                   | held while calling into
 ///   -----|---------------------------------------|------------------------
-///   64   | TaskGate::mu (context.cc)             | the task body: block
-///        |   one gate per task index; held across| store, profile hooks,
-///        |   fn(i) to gate speculation duplicates| metrics atomics
 ///   60   | JobServer::mu_ (job_server.cc,        | session queues (rank
 ///        |   session registry, admission         | kSessionQueue=58) and
 ///        |   accounting, dispatch fairness state)| metrics atomics
@@ -67,7 +64,7 @@ namespace spangle {
 ///   46   | ExecutorFleet::mu_ (executor_fleet.cc,| RpcClient calls (rank
 ///        |   daemon slots, spawn/restart)        | kNetClient=12)
 ///   40   | ExecutorPool::mu_ (batch/queue state, | nothing (task bodies
-///        |   speculation bookkeeping)            | run outside the lock)
+///        |   per-task status capture)            | run outside the lock)
 ///   32   | BlockManager::mu_ (budget/LRU/spill   | spill/load codecs only
 ///        |   maps, PutIfAbsent commit)           | (no engine locks)
 ///   24   | RuntimeProfile::mu_ (node profiles)   | nothing
@@ -98,7 +95,6 @@ enum class LockRank : int {
   kScheduler = 56,
   kSessionQueue = 58,
   kJobServer = 60,
-  kTaskGate = 64,
 };
 
 /// Human-readable name for a rank ("kBlockManager"), for diagnostics.

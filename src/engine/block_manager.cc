@@ -46,8 +46,7 @@ BlockManager::~BlockManager() {
     return;
   }
   // User-provided directory: remove only the files we created. Locked:
-  // a racing reader (e.g. a straggling speculative task) must not see
-  // blocks_ mid-teardown.
+  // a racing reader must not see blocks_ mid-teardown.
   MutexLock lock(&mu_);
   for (auto& [node, parts] : blocks_) {
     for (auto& [p, b] : parts) {
@@ -180,7 +179,7 @@ bool BlockManager::PutIfAbsent(const BlockId& id, DataPtr data, uint64_t bytes,
       (existing->data != nullptr || existing->on_disk)) {
     // A usable payload is already committed: keep it. When both commits
     // carry the same content address this is a counted dedup — the
-    // speculation-loser / retried-task / raced-job case.
+    // retried-task / partial-rerun / raced-job case.
     if (content_hash != 0 && existing->content_hash == content_hash) {
       metrics_->shuffle_block_dedup_hits.fetch_add(1);
     }

@@ -99,10 +99,10 @@ class BlockManager {
 
   /// Stores like Put, but keeps any payload already available (in memory
   /// or on disk) under the same id — the idempotent commit path used when
-  /// duplicate computations of one partition race (speculative task
-  /// attempts, concurrent jobs over a shared cached node, partial shuffle
-  /// re-materialization). Returns false when an existing payload was kept,
-  /// so the caller knows its copy was the discarded loser.
+  /// one partition is computed more than once (task retries, concurrent
+  /// jobs over a shared cached node, partial shuffle re-materialization).
+  /// Returns false when an existing payload was kept, so the caller knows
+  /// its copy was discarded.
   ///
   /// When `content_hash` is nonzero the commit is content-addressed:
   /// keeping an identical existing payload (same id or a different id

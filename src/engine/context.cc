@@ -9,36 +9,10 @@
 
 #include "codec/hash.h"
 #include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "engine/metrics_export.h"
 #include "net/executor_fleet.h"
 
 namespace spangle {
-
-namespace {
-
-/// First-finisher-wins gate for one task index. Duplicate attempts of the
-/// same task (speculation) serialize on `mu`: exactly one attempt ever
-/// runs the task body; the other observes fn_done and returns without
-/// side effects. The cv doubles as the interruptible-sleep channel — a
-/// straggler sitting out an injected delay wakes as soon as the other
-/// attempt wins.
-struct TaskGate {
-  // Rank kTaskGate (outermost): gate.mu is held across fn(i), whose body
-  // may take BlockManager / RuntimeProfile / metrics locks. Gates of
-  // different task indices share the rank because they are never nested:
-  // the pool now tolerates nested RunAll (per-batch state), but a nested
-  // *stage* would acquire a second gate under this one, and same-rank
-  // acquisitions abort in the lock-rank detector — so RunStage-inside-a-
-  // task stays banned, by the detector instead of a pool CHECK.
-  Mutex mu{LockRank::kTaskGate, "TaskGate::mu"};
-  CondVar cv;
-  bool fn_done GUARDED_BY(mu) = false;
-  // settled by the re-launched copy
-  bool winner_speculative GUARDED_BY(mu) = false;
-};
-
-}  // namespace
 
 Context::Context(int num_workers, int default_parallelism,
                  int task_overhead_us, StorageOptions storage,
@@ -113,22 +87,8 @@ void Context::RunStage(const std::string& name, int n,
     if (stage_trace.trace_id == 0) stage_trace.trace_id = stat.job_id;
   }
 
-  ExecutorPool::SpeculationOptions spec;
-  spec.enabled = opts.speculation;
-  spec.multiplier = opts.speculation_multiplier;
-  spec.min_runtime_us = opts.speculation_min_runtime_us;
-  spec.min_completed_fraction = opts.speculation_min_completed_fraction;
-  spec.check_interval_us = opts.speculation_check_interval_us;
-
-  // Per-index gates outlive every attempt of the stage (the pool's batch
-  // barrier waits for losers too, so stack storage is safe).
-  std::vector<TaskGate> gates(static_cast<size_t>(std::max(n, 0)));
-  // Attempts already consumed by finished rounds, per index; written by
-  // the driver between rounds only.
-  std::vector<int> attempt_base(static_cast<size_t>(std::max(n, 0)), 0);
-
-  // Primary per-index timing slots live in stat.tasks[0..n); retry and
-  // speculative attempts are appended afterwards as extra trace lanes.
+  // Primary per-index timing slots live in stat.tasks[0..n); retry
+  // attempts are appended afterwards as extra trace lanes.
   TaskStat* slots = stat.tasks.data();
   Mutex extra_mu{LockRank::kLeaf, "RunStage::extra_mu"};
   std::vector<TaskStat> extras;
@@ -148,17 +108,6 @@ void Context::RunStage(const std::string& name, int n,
   const auto Finalize = [&] {
     stat.wall_us = pool_.NowMicros() - stat.start_us;
     if (profile != nullptr) profile->SampleCounters(pool_.NowMicros());
-    // Locked per gate: the batch barrier already orders these writes
-    // before us, but the lock keeps the guarded-field contract uniform
-    // (and the analysis checkable) on this read-side path too.
-    for (TaskGate& g : gates) {
-      MutexLock lock(&g.mu);
-      if (g.fn_done && g.winner_speculative) ++stat.speculative_wins;
-    }
-    if (stat.speculative_wins > 0) {
-      metrics_.speculative_wins.fetch_add(
-          static_cast<uint64_t>(stat.speculative_wins));
-    }
     // Task-time distribution over the primary attempts: min/max/total,
     // log-scale histogram, skew ratio (max/mean), stragglers (> 2x mean).
     if (n > 0) {
@@ -200,13 +149,14 @@ void Context::RunStage(const std::string& name, int n,
     stat.tasks.insert(stat.tasks.end(), extras.begin(), extras.end());
   };
 
+  // A task pending in retry round `round` has run exactly `round` times
+  // before, so the round is its attempt number.
   for (int round = 0;; ++round) {
     std::vector<ExecutorPool::Task> tasks;
     tasks.reserve(pending.size());
     for (const int i : pending) {
-      tasks.emplace_back([this, &fn, &acc, &gates, &attempt_base, &chaos,
-                          &name, &stage_trace, stage_attempt, overhead,
-                          profile, i](int pool_attempt) {
+      tasks.emplace_back([this, &fn, &acc, &chaos, &name, &stage_trace,
+                          stage_attempt, overhead, profile, round, i] {
         EngineMetrics::ScopedStageAccumulator scope(&acc);
         prof::ScopedThreadProfile profile_scope(profile);
         // Per-task trace context: the Put/Fetch RPCs this task issues
@@ -217,11 +167,10 @@ void Context::RunStage(const std::string& name, int n,
           task_trace.span_id = trace_spans_.NextSpanId();
         }
         trace::ScopedContext trace_scope(task_trace);
-        TaskGate& gate = gates[static_cast<size_t>(i)];
-        const int attempt = attempt_base[static_cast<size_t>(i)] + pool_attempt;
         uint64_t delay = static_cast<uint64_t>(overhead > 0 ? overhead : 0);
+        bool kill = false;
         if (chaos != nullptr) {
-          const ChaosTaskInfo info{name, stage_attempt, i, attempt};
+          const ChaosTaskInfo info{name, stage_attempt, i, round};
           if (chaos->fail_executor) {
             const int w = chaos->fail_executor(info);
             // Routed through Context::FailExecutor: in DISTRIBUTED mode
@@ -230,44 +179,21 @@ void Context::RunStage(const std::string& name, int n,
             if (w >= 0) FailExecutor(w);
           }
           if (chaos->delay_us) delay += chaos->delay_us(info);
-          if (chaos->fail_task && chaos->fail_task(info)) {
-            if (delay > 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(delay));
-            }
-            throw TaskKilledError(name, i, attempt);
-          }
+          kill = chaos->fail_task && chaos->fail_task(info);
         }
         if (delay > 0) {
-          // Interruptible: a speculative loser sleeping out an injected
-          // delay yields the moment the other attempt wins. Explicit
-          // deadline loop (not a predicate lambda) so the fn_done reads
-          // stay in this scope, where the analysis sees gate.mu held.
-          const auto deadline = std::chrono::steady_clock::now() +
-                                std::chrono::microseconds(delay);
-          MutexLock lock(&gate.mu);
-          while (!gate.fn_done &&
-                 gate.cv.WaitUntil(gate.mu, deadline) !=
-                     std::cv_status::timeout) {
-          }
-          if (gate.fn_done) return;  // discarded loser
+          std::this_thread::sleep_for(std::chrono::microseconds(delay));
         }
-        {
-          MutexLock lock(&gate.mu);
-          if (gate.fn_done) return;  // discarded loser
-          fn(i);  // throws propagate with fn_done still false
-          gate.fn_done = true;
-          gate.winner_speculative = pool_attempt > 0;
-        }
-        gate.cv.NotifyAll();
+        if (kill) throw TaskKilledError(name, i, round);
+        fn(i);
       });
     }
 
-    const auto observer = [&pending, &attempt_base, slots, &extra_mu,
-                           &extras, round](const TaskTiming& t) {
+    const auto observer = [&pending, slots, &extra_mu, &extras,
+                           round](const TaskTiming& t) {
       const int real = pending[static_cast<size_t>(t.index)];
-      const TaskStat ts{real, t.lane, t.start_us, t.duration_us,
-                        attempt_base[static_cast<size_t>(real)] + t.attempt};
-      if (round == 0 && t.attempt == 0) {
+      const TaskStat ts{real, t.lane, t.start_us, t.duration_us, round};
+      if (round == 0) {
         // Per-index slot, written once by the thread that ran the primary
         // attempt, read after the batch barrier (happens-before via the
         // pool's completion wait).
@@ -278,19 +204,12 @@ void Context::RunStage(const std::string& name, int n,
       }
     };
 
-    ExecutorPool::BatchResult res =
-        pool_.RunAll(std::move(tasks), observer, spec);
-    if (res.speculative_launches > 0) {
-      stat.speculative_launches += res.speculative_launches;
-      metrics_.speculative_launches.fetch_add(
-          static_cast<uint64_t>(res.speculative_launches));
-    }
+    ExecutorPool::BatchResult res = pool_.RunAll(std::move(tasks), observer);
 
     std::vector<int> retry;
     for (size_t j = 0; j < pending.size(); ++j) {
       const int i = pending[j];
       const ExecutorPool::TaskResult& tr = res.tasks[j];
-      attempt_base[static_cast<size_t>(i)] += tr.attempts;
       if (tr.status.ok()) continue;
       try {
         std::rethrow_exception(tr.error);
@@ -438,8 +357,8 @@ bool Context::DumpTrace(const std::string& path) const {
   // pid 1 = driver (one tid per stage so overlapping stages render as
   // parallel rows); pid 2 = counter tracks (cache pressure, shuffle
   // volume, shuffle concurrency sampled at stage boundaries). Task
-  // events carry their attempt number, so retries and speculative
-  // copies show up as extra slices on their lanes.
+  // events carry their attempt number, so retries show up as extra
+  // slices on their lanes.
   std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", f);
   std::fputs(
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"

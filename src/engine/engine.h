@@ -140,9 +140,8 @@ class Context {
   ///
   /// Fault tolerance: a task attempt that throws is retried up to
   /// `FaultToleranceOptions::max_task_retries` times with exponential
-  /// backoff; stragglers are speculatively re-launched when speculation is
-  /// on (first finisher wins, the loser never re-runs the task body). A
-  /// task that throws ShuffleBlockLostError is NOT retried — the stage
+  /// backoff, one retry round after the stage barrier; each task index has
+  /// at most one attempt in flight. A task that throws ShuffleBlockLostError is NOT retried — the stage
   /// aborts with that error so the job can re-run the upstream stage from
   /// lineage. Retries and job re-attempts may invoke fn more than once
   /// for the same index; fn must be deterministic per index (all engine
@@ -167,7 +166,7 @@ class Context {
   void RunJob(internal::NodeBase* root, const std::string& action, int n,
               const std::function<void(int)>& fn);
 
-  /// Retry/speculation knobs; read at the start of every stage and job.
+  /// Retry knobs; read at the start of every stage and job.
   void set_fault_options(const FaultToleranceOptions& opts) {
     MutexLock lock(&fault_mu_);
     fault_options_ = opts;
@@ -420,10 +419,11 @@ class Node : public NodeBase {
   /// Hands one partition to the BlockManager. `recomputable` is false
   /// for shuffle outputs, whose loss is repaired by re-materializing
   /// the whole shuffle rather than per-partition lineage recompute.
-  /// Put-if-absent: when duplicate computations of one partition race
-  /// (speculative attempts, task retries, partial shuffle reruns), the
-  /// first committed payload wins and the loser is discarded — the
-  /// commit is idempotent, so duplicated work never changes state.
+  /// Put-if-absent: when one partition is computed more than once (task
+  /// retries, partial shuffle reruns, concurrent jobs over a shared
+  /// node), the first committed payload wins and the later one is
+  /// discarded — the commit is idempotent, so duplicated work never
+  /// changes state.
   /// `content_hash` is the partition's chunk-frame content address when
   /// the caller already encoded it (shuffle outputs); 0 leaves the block
   /// unhashed, outside the dedup index.
@@ -708,10 +708,10 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
     // Reduce side: task r merges its buckets (combining when requested)
     // and commits output partition r itself, so encode and store run in
     // parallel across the pool instead of in a serial driver loop. Each
-    // bucket is taken, not borrowed, so its memory goes once merged. Any
-    // later attempt of task r (a task retry after a throwing combiner, a
-    // speculative copy after a failed store) would rebuild r from drained
-    // buckets, so it escalates to a lineage re-plan instead.
+    // bucket is taken, not borrowed, so its memory goes once merged. A
+    // later attempt of task r (a task retry after a throwing combiner)
+    // would rebuild r from drained buckets, so it escalates to a lineage
+    // re-plan instead.
     std::vector<std::atomic<bool>> drained(static_cast<size_t>(n_out));
     ctx->RunStage(this->name() + "/reduce", n_out, [&](int r) {
       if (drained[static_cast<size_t>(r)].exchange(true)) {

@@ -1,20 +1,10 @@
 #include "engine/executor_pool.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace spangle {
 
 namespace {
-
-// Depth of task bodies currently executing on this thread. 0 = a plain
-// driver/worker thread; >0 = inside a task. RunAll consults it so a
-// nested submission (a task that itself runs a batch — e.g. a served job
-// whose stage interleaves with another job's stages on the shared pool)
-// drains its own batch inline instead of parking a lane on the barrier.
-thread_local int tl_task_depth = 0;
 
 // Lane id of the current thread (worker threads get theirs at spawn,
 // driver threads on their first RunAll). -1 = not yet assigned.
@@ -60,18 +50,8 @@ int ExecutorPool::LaneForThisThread() {
   return tl_lane;
 }
 
-ExecutorPool::BatchResult ExecutorPool::RunAll(
-    std::vector<Task> tasks, const TaskObserver& observer,
-    const SpeculationOptions& speculation) {
-  // A nested call (RunAll from inside a task body) is legal: each batch
-  // carries its own queue/barrier state, so the nested caller drains its
-  // own batch inline and returns. It must run primaries itself — every
-  // worker lane may be occupied by the batches that got us here, so the
-  // only lane guaranteed to make progress on the nested batch is this
-  // one. (Speculation's drive-from-the-monitor trick is therefore
-  // disabled at depth: with the driver consuming primaries the batch
-  // cannot stall waiting for a lane.)
-  const bool nested = tl_task_depth > 0;
+ExecutorPool::BatchResult ExecutorPool::RunAll(std::vector<Task> tasks,
+                                               const TaskObserver& observer) {
   BatchResult result;
   if (tasks.empty()) return result;
   const int n = static_cast<int>(tasks.size());
@@ -86,54 +66,24 @@ ExecutorPool::BatchResult ExecutorPool::RunAll(
     batch->mu->AssertHeld();
     batch->slots.resize(n);
     batch->outstanding = static_cast<size_t>(n);
-    for (int i = 0; i < n; ++i) {
-      batch->queue.push_back({i, 0});
-      batch->slot(i).launched = 1;
-    }
+    for (int i = 0; i < n; ++i) batch->queue.push_back(i);
     active_.push_back(batch);
   }
   work_ready_.NotifyAll();
   // Help drain our own batch (never another driver's: returning promptly
   // once our batch finishes matters more than global throughput here).
-  // When speculating with worker threads available, the driver must NOT
-  // take primary attempts: if it picked up the straggler itself, no
-  // thread would be left to monitor the batch and launch the copy. It
-  // stays the monitor and runs only the speculative copies it creates
-  // (the straggling originals may occupy every worker lane, so the
-  // copies' only guaranteed lane is this driver).
-  const bool driver_runs_primaries =
-      nested || !speculation.enabled || num_workers_ == 1;
-  if (driver_runs_primaries) {
-    while (RunOneTask(batch.get())) {
-    }
+  // This also guarantees progress for a nested batch (RunAll from inside
+  // a task body), whose only certain lane is this one.
+  while (RunOneTask(batch.get())) {
   }
   {
     MutexLock lock(&mu_);
     batch->mu->AssertHeld();
-    while (batch->outstanding != 0) {
-      if (!speculation.enabled) {
-        // Explicit wait loop, not a predicate lambda: outstanding is
-        // guarded and the analysis cannot see the lock inside a lambda
-        // body (same idiom as WorkerLoop).
-        while (batch->outstanding != 0) batch_done_.Wait(mu_);
-        break;
-      }
-      // Speculation: wake periodically and re-launch stragglers. The
-      // predicate-less WaitFor may wake spuriously; the enclosing loop
-      // re-checks outstanding either way.
-      const uint64_t tick =
-          std::max<uint64_t>(speculation.check_interval_us, 50);
-      batch_done_.WaitFor(mu_, std::chrono::microseconds(tick));
-      if (batch->outstanding == 0) break;
-      if (MaybeSpeculateLocked(*batch, speculation)) {
-        work_ready_.NotifyAll();
-      }
-      lock.Unlock();
-      while (RunOneTask(batch.get(),
-                        /*speculative_only=*/!driver_runs_primaries)) {
-      }
-      lock.Lock();
-    }
+    // Explicit wait loop, not a predicate lambda: outstanding is guarded
+    // and the analysis cannot see the lock inside a lambda body (same
+    // idiom as WorkerLoop).
+    // blocking-ok: batch->mu aliases mu_, which the wait releases.
+    while (batch->outstanding != 0) batch_done_.Wait(mu_);
     for (auto it = active_.begin(); it != active_.end(); ++it) {
       if (it->get() == batch.get()) {
         active_.erase(it);
@@ -143,62 +93,10 @@ ExecutorPool::BatchResult ExecutorPool::RunAll(
     result.tasks.resize(n);
     for (int i = 0; i < n; ++i) {
       Slot& s = batch->slot(i);
-      result.tasks[i] = {std::move(s.status), std::move(s.error), s.launched};
+      result.tasks[i] = {std::move(s.status), std::move(s.error)};
     }
-    result.speculative_launches = batch->speculative_launches;
   }
   return result;
-}
-
-void ExecutorPool::RunAll(std::vector<std::function<void()>> tasks,
-                          const TaskObserver& observer) {
-  std::vector<Task> wrapped;
-  wrapped.reserve(tasks.size());
-  for (auto& t : tasks) {
-    wrapped.emplace_back([t = std::move(t)](int) { t(); });
-  }
-  BatchResult result = RunAll(std::move(wrapped), observer);
-  for (auto& tr : result.tasks) {
-    if (tr.error != nullptr) std::rethrow_exception(tr.error);
-  }
-}
-
-bool ExecutorPool::MaybeSpeculateLocked(Batch& b,
-                                        const SpeculationOptions& spec) {
-  b.mu->AssertHeld();
-  const int n = static_cast<int>(b.slots.size());
-  std::vector<uint64_t> durations;
-  durations.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    const Slot& s = b.slot(i);
-    if (s.returned > 0) durations.push_back(s.first_duration_us);
-  }
-  const int completed = static_cast<int>(durations.size());
-  const int min_completed = std::max(
-      1, static_cast<int>(std::ceil(spec.min_completed_fraction * n)));
-  if (completed < min_completed || completed == n) return false;
-  auto mid = durations.begin() + durations.size() / 2;
-  std::nth_element(durations.begin(), mid, durations.end());
-  const uint64_t threshold = std::max<uint64_t>(
-      static_cast<uint64_t>(static_cast<double>(*mid) * spec.multiplier),
-      spec.min_runtime_us);
-  const uint64_t now = NowMicros();
-  bool launched_any = false;
-  for (int i = 0; i < n; ++i) {
-    Slot& s = b.slot(i);
-    if (s.returned > 0 || s.speculated || s.launched != 1 ||
-        s.first_start_us == 0) {
-      continue;
-    }
-    if (now - s.first_start_us < threshold) continue;
-    b.queue.push_back({i, 1});
-    s.launched = 2;
-    s.speculated = true;
-    ++b.outstanding;
-    ++b.speculative_launches;
-    launched_any = true;
-  }
-  return launched_any;
 }
 
 bool ExecutorPool::AnyRunnableLocked() const {
@@ -209,9 +107,9 @@ bool ExecutorPool::AnyRunnableLocked() const {
   return false;
 }
 
-bool ExecutorPool::RunOneTask(Batch* only, bool speculative_only) {
+bool ExecutorPool::RunOneTask(Batch* only) {
   std::shared_ptr<Batch> batch;
-  WorkItem item;
+  int index = 0;
   {
     MutexLock lock(&mu_);
     if (only != nullptr) {
@@ -235,58 +133,33 @@ bool ExecutorPool::RunOneTask(Batch* only, bool speculative_only) {
     }
     if (batch == nullptr) return false;
     batch->mu->AssertHeld();
-    if (speculative_only) {
-      auto it = batch->queue.begin();
-      while (it != batch->queue.end() && it->attempt == 0) ++it;
-      if (it == batch->queue.end()) return false;
-      item = *it;
-      batch->queue.erase(it);
-    } else {
-      item = batch->queue.front();
-      batch->queue.pop_front();
-    }
-    Slot& s = batch->slot(item.index);
-    if (s.first_start_us == 0) s.first_start_us = NowMicros();
+    index = batch->queue.front();
+    batch->queue.pop_front();
   }
   TaskTiming timing;
-  timing.index = item.index;
-  timing.attempt = item.attempt;
+  timing.index = index;
   timing.lane = LaneForThisThread();
   timing.start_us = NowMicros();
   std::exception_ptr err;
-  ++tl_task_depth;  // depth, not a flag: nested batches restore the outer
-                    // task's state when they unwind
   try {
-    batch->tasks[item.index](item.attempt);
+    batch->tasks[index]();
   } catch (...) {
     err = std::current_exception();
   }
-  --tl_task_depth;
   timing.duration_us = NowMicros() - timing.start_us;
   if (batch->observer) batch->observer(timing);
   {
     MutexLock lock(&mu_);
     batch->mu->AssertHeld();
-    Slot& s = batch->slot(item.index);
-    ++s.returned;
-    if (s.returned == 1) s.first_duration_us = timing.duration_us;
-    if (err == nullptr) {
-      // A normal return means the task body either ran to completion in
-      // this attempt or was already completed by the other attempt
-      // (discarded loser) — either way the task is settled successfully.
-      s.succeeded = true;
-      s.status = Status::OK();
-      s.error = nullptr;
-    } else if (!s.succeeded) {
+    if (err != nullptr) {
+      Slot& s = batch->slot(index);
       s.status = Status::Internal(DescribeError(err));
-      s.error = err;
+      // Moved into the slot while still holding mu_, so the final release
+      // of the exception — and the free TSan watches — always happens on
+      // the driver after it takes mu_ at the barrier, never on a worker
+      // racing the driver's reads of the exception contents.
+      s.error = std::move(err);
     }
-    // Drop our reference to the exception while still holding mu_. The
-    // slot (or nothing, for a discarded loser) now owns the object, so
-    // the final release — and the free TSan watches — always happens on
-    // the driver after it takes mu_ at the barrier, never on a worker
-    // racing the driver's reads of the exception contents.
-    err = nullptr;
     if (--batch->outstanding == 0) batch_done_.NotifyAll();
   }
   return true;

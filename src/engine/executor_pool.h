@@ -22,7 +22,6 @@ namespace spangle {
 /// context share an epoch and can be laid out on a common trace timeline.
 struct TaskTiming {
   int index = 0;        // task index within its batch
-  int attempt = 0;      // 0 = original launch, 1 = speculative copy
   int lane = 0;         // executor lane that ran it (see RunAll)
   uint64_t start_us = 0;
   uint64_t duration_us = 0;
@@ -30,23 +29,14 @@ struct TaskTiming {
 
 /// Fixed pool of worker threads standing in for the cluster's executors.
 /// A driver thread submits one batch of tasks per stage with RunAll(),
-/// which blocks until every launched attempt of that batch has finished —
-/// mirroring Spark's stage barrier.
+/// which blocks until every task of that batch has finished — mirroring
+/// Spark's stage barrier. Each task runs exactly once per batch; retrying
+/// a failed task is the caller's job (a new batch after the barrier).
 ///
 /// Failure contract: a task body that throws does NOT poison the batch or
 /// the pool. The exception is captured per task, unrelated tasks keep
 /// running, and RunAll reports one TaskResult per task (Status plus the
-/// captured exception_ptr) so the scheduler can retry or re-plan. The
-/// legacy void()-task overload rethrows the first captured error on the
-/// calling thread after the batch barrier.
-///
-/// Speculation: when enabled, the calling (driver) thread monitors its
-/// batch while waiting on the barrier and re-enqueues a second attempt of
-/// any task that has been running far longer than the median of the
-/// batch's completed tasks. Both attempts invoke the same callable (which
-/// receives its attempt number); the first to return settles the task and
-/// the barrier still waits for the loser to come back, so no attempt ever
-/// outlives RunAll.
+/// captured exception_ptr) so the scheduler can retry or re-plan.
 ///
 /// Multiple driver threads may call RunAll() concurrently (the DAG
 /// scheduler materializes independent shuffle stages in parallel, and the
@@ -56,44 +46,25 @@ struct TaskTiming {
 /// from *inside a task* is also legal: all batch state is per-batch, and
 /// a nested caller always drains its own batch inline (it never waits for
 /// a lane — every lane may be busy with the batches that got it here), so
-/// the nested barrier cannot deadlock. This used to CHECK-fail under the
-/// one-batch-in-flight assumption. Nested *stages* (Context::RunStage
-/// from inside a task) remain banned by the lock-rank detector: task
-/// gates share a rank and same-rank acquisitions never nest.
+/// the nested barrier cannot deadlock.
 class ExecutorPool {
  public:
-  /// One task: invoked as task(attempt). May be invoked more than once
-  /// (speculation), possibly concurrently with itself; implementations
-  /// that are not naturally idempotent must gate their side effects (the
-  /// scheduler's task wrappers do).
-  using Task = std::function<void(int attempt)>;
+  using Task = std::function<void()>;
 
-  /// Observer invoked once per task *attempt*, after the attempt returns,
-  /// from the thread that ran it. May be called concurrently;
-  /// implementations must be thread-safe.
+  /// Observer invoked once per task, after it returns, from the thread
+  /// that ran it. May be called concurrently; implementations must be
+  /// thread-safe.
   using TaskObserver = std::function<void(const TaskTiming&)>;
 
-  /// Straggler re-launch policy for one batch (see FaultToleranceOptions
-  /// for the context-level defaults these are filled from).
-  struct SpeculationOptions {
-    bool enabled = false;
-    double multiplier = 1.5;
-    uint64_t min_runtime_us = 2000;
-    double min_completed_fraction = 0.5;
-    uint64_t check_interval_us = 200;
-  };
-
-  /// Outcome of one task across all its attempts.
+  /// Outcome of one task.
   struct TaskResult {
-    Status status;             // OK when any attempt returned normally
+    Status status;             // OK when the task returned normally
     std::exception_ptr error;  // captured exception when !status.ok()
-    int attempts = 0;          // attempts launched (2 when speculated)
   };
 
   /// Outcome of one batch.
   struct BatchResult {
     std::vector<TaskResult> tasks;
-    int speculative_launches = 0;
 
     bool ok() const {
       for (const auto& t : tasks) {
@@ -118,17 +89,7 @@ class ExecutorPool {
   /// drivers (scheduler threads) count up from there. Returns one
   /// TaskResult per task; never throws on task failure.
   BatchResult RunAll(std::vector<Task> tasks,
-                     const TaskObserver& observer,
-                     const SpeculationOptions& speculation);
-  BatchResult RunAll(std::vector<Task> tasks,
-                     const TaskObserver& observer = nullptr) {
-    return RunAll(std::move(tasks), observer, SpeculationOptions{});
-  }
-
-  /// Legacy attempt-less batch: wraps each task, then rethrows the first
-  /// captured task error (if any) after the whole batch has finished.
-  void RunAll(std::vector<std::function<void()>> tasks,
-              const TaskObserver& observer = nullptr);
+                     const TaskObserver& observer = nullptr);
 
   /// Microseconds since pool construction (the trace epoch).
   uint64_t NowMicros() const {
@@ -139,23 +100,12 @@ class ExecutorPool {
   }
 
  private:
-  struct WorkItem {
-    int index = 0;
-    int attempt = 0;
-  };
-
-  /// Per-task bookkeeping across attempts. Guarded by the owning pool's
-  /// mu_, reached only through Batch::slot(i) (REQUIRES(mu) +
-  /// runtime AssertHeld); the analysis cannot re-state the capability on
-  /// fields of an element type, so Slot itself stays unannotated — see
-  /// Batch::slot for the full capability story.
+  /// Per-task outcome. Guarded by the owning pool's mu_, reached only
+  /// through Batch::slot(i) (REQUIRES(mu) + runtime AssertHeld); the
+  /// analysis cannot re-state the capability on fields of an element
+  /// type, so Slot itself stays unannotated — see Batch::slot for the
+  /// full capability story.
   struct Slot {
-    int launched = 0;             // attempts queued so far (1 or 2)
-    int returned = 0;             // attempts that came back
-    uint64_t first_start_us = 0;  // 0 = no attempt has started yet
-    uint64_t first_duration_us = 0;  // duration of first returned attempt
-    bool speculated = false;
-    bool succeeded = false;  // some attempt returned normally
     Status status;
     std::exception_ptr error;
   };
@@ -172,13 +122,12 @@ class ExecutorPool {
     // Written once before the batch is published to active_, immutable
     // afterward: task bodies and observers run with mu_ released, so
     // these two must NOT be guarded.
-    std::vector<Task> tasks;  // invoked by index; callable repeatedly
+    std::vector<Task> tasks;  // invoked by index
     TaskObserver observer;
 
-    std::deque<WorkItem> queue GUARDED_BY(mu);  // attempts not picked up
+    std::deque<int> queue GUARDED_BY(mu);  // task indices not picked up
     std::vector<Slot> slots GUARDED_BY(mu);
-    size_t outstanding GUARDED_BY(mu) = 0;  // queued + running attempts
-    int speculative_launches GUARDED_BY(mu) = 0;
+    size_t outstanding GUARDED_BY(mu) = 0;  // queued + running tasks
 
     /// The only sanctioned way to reach a Slot. GUARDED_BY attaches a
     /// capability to a *member*; the Slots inside `slots` are elements
@@ -198,18 +147,11 @@ class ExecutorPool {
   };
 
   void WorkerLoop(int lane) EXCLUDES(mu_);
-  /// Picks one runnable attempt — from `only` when given, else from any
+  /// Picks one queued task — from `only` when given, else from any
   /// active batch — runs it, and returns true. False when nothing to run.
-  /// With `speculative_only`, considers only re-launched copies (attempt
-  /// > 0): the speculating driver must not occupy its lane with a
-  /// primary attempt that could itself be the straggler.
-  bool RunOneTask(Batch* only, bool speculative_only = false) EXCLUDES(mu_);
+  bool RunOneTask(Batch* only) EXCLUDES(mu_);
   bool AnyRunnableLocked() const REQUIRES(mu_);
   int LaneForThisThread();
-  /// Re-enqueues a speculative copy of every straggler in `b`; returns
-  /// true when at least one was launched.
-  bool MaybeSpeculateLocked(Batch& b, const SpeculationOptions& spec)
-      REQUIRES(mu_);
 
   const int num_workers_;
   const std::chrono::steady_clock::time_point epoch_;

@@ -11,9 +11,9 @@
 
 namespace spangle {
 
-/// Fault-tolerance knobs for a Context (Spark's spark.task.maxFailures /
-/// spark.speculation family). Read at the start of every stage, so they
-/// can be flipped between jobs (e.g. by tests) without a new Context.
+/// Fault-tolerance knobs for a Context (Spark's spark.task.maxFailures
+/// family). Read at the start of every stage, so they can be flipped
+/// between jobs (e.g. by tests) without a new Context.
 struct FaultToleranceOptions {
   /// Retries per task *within* one stage execution before the job is
   /// declared failed. 0 disables retry (first failure is fatal).
@@ -25,21 +25,6 @@ struct FaultToleranceOptions {
   /// rebuilds the physical plan, so only stages whose output is actually
   /// gone re-materialize (lineage recovery at stage granularity).
   int max_job_attempts = 4;
-
-  /// Speculative execution: re-launch a copy of a straggling task once
-  /// its runtime exceeds `speculation_multiplier` x the median runtime of
-  /// the stage's completed tasks. The first attempt to finish wins; the
-  /// loser is discarded idempotently (it never re-runs the task body and
-  /// block commits go through BlockManager::PutIfAbsent).
-  bool speculation = false;
-  double speculation_multiplier = 1.5;
-  /// Never speculate a task running shorter than this (absolute floor).
-  uint64_t speculation_min_runtime_us = 2000;
-  /// Fraction of the stage that must have completed before medians are
-  /// trusted enough to speculate.
-  double speculation_min_completed_fraction = 0.5;
-  /// How often the driver thread re-examines a running stage.
-  uint64_t speculation_check_interval_us = 200;
 };
 
 /// Identity of one task attempt as seen by ChaosPolicy predicates: enough
@@ -49,7 +34,7 @@ struct ChaosTaskInfo {
   std::string stage;      // stage name, e.g. "reduceByKey/map" or "collect"
   int stage_attempt = 0;  // 0 = first execution of this stage
   int task = 0;           // partition index within the stage
-  int attempt = 0;        // cumulative attempt of this task (0 = first)
+  int attempt = 0;        // retry round of this task (0 = first run)
 };
 
 /// Deterministic fault-injection hooks, evaluated by the scheduler at the
@@ -63,9 +48,7 @@ struct ChaosPolicy {
   /// before the task body runs; the scheduler retries with backoff).
   std::function<bool(const ChaosTaskInfo&)> fail_task;
   /// Extra latency injected before the task body, microseconds. Used to
-  /// manufacture stragglers for speculation tests. The sleep is
-  /// interruptible: it ends early if another attempt of the same task
-  /// wins in the meantime.
+  /// manufacture slow tasks (overlapping stages, contended locks).
   std::function<uint64_t(const ChaosTaskInfo&)> delay_us;
   /// Return a worker id >= 0 to fail that executor (drop all its blocks,
   /// mid-job) when this task attempt starts; -1 for no failure.

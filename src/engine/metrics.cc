@@ -82,10 +82,6 @@ std::string StageStat::ToString() const {
      << (num_tasks > 0 ? total_task_us / num_tasks : 0) << "/" << max_task_us
      << "us skew=" << skew_ratio << " stragglers=" << num_stragglers;
   if (task_retries > 0) os << " task_retries=" << task_retries;
-  if (speculative_launches > 0) {
-    os << " speculative=" << speculative_launches << "/" << speculative_wins
-       << " (launched/won)";
-  }
   if (shuffle_bytes > 0) {
     os << " shuffled=" << HumanBytes(shuffle_bytes) << " ("
        << shuffle_records << " records)";
@@ -182,10 +178,6 @@ EngineMetrics::EngineMetrics()
           &task_retries);
   counter("stage_reruns", "count",
           "Shuffle stages re-materialized after output loss", &stage_reruns);
-  counter("speculative_launches", "count", "Straggler copies launched",
-          &speculative_launches);
-  counter("speculative_wins", "count", "Tasks settled by the copy",
-          &speculative_wins);
   gauge("bytes_cached", "bytes", "Resident block store bytes",
         &bytes_cached);
   gauge("memory_high_water", "bytes", "Max resident bytes observed",

@@ -20,7 +20,7 @@ struct TaskStat {
   int lane = 0;
   uint64_t start_us = 0;
   uint64_t duration_us = 0;
-  int attempt = 0;  // cumulative attempt of the task (0 = first launch)
+  int attempt = 0;  // retry round that ran the task (0 = first launch)
 };
 
 /// One executed stage: identity, wall time, task-time distribution, skew,
@@ -44,9 +44,7 @@ struct StageStat {
   uint64_t wall_us = 0;
 
   // Fault-tolerance accounting for this stage execution.
-  int task_retries = 0;          // failed task attempts re-launched
-  int speculative_launches = 0;  // straggler copies launched
-  int speculative_wins = 0;      // tasks settled by a speculative copy
+  int task_retries = 0;  // failed task attempts re-launched
 
   // Task-time distribution.
   uint64_t min_task_us = 0;
@@ -66,8 +64,8 @@ struct StageStat {
   uint64_t remote_fetch_us = 0;
 
   // Per-task detail for trace export; the first num_tasks entries are the
-  // primary attempts (slot per task), with retry/speculative attempts
-  // appended after them (attempt > 0 ⇒ an extra lane in the trace).
+  // primary attempts (slot per task), with retry attempts appended after
+  // them (attempt > 0 ⇒ an extra lane in the trace).
   std::vector<TaskStat> tasks;
 
   std::string ToString() const;
@@ -212,12 +210,10 @@ class EngineMetrics {
   std::atomic<uint64_t> concurrent_shuffles{0};
   std::atomic<uint64_t> peak_concurrent_shuffles{0};
 
-  // Fault tolerance: mid-job recovery and straggler mitigation.
+  // Fault tolerance: task retries and mid-job recovery.
   std::atomic<uint64_t> task_retries{0};      // failed attempts re-launched
   std::atomic<uint64_t> stage_reruns{0};      // shuffle stages re-materialized
                                               // after their output was lost
-  std::atomic<uint64_t> speculative_launches{0};  // straggler copies launched
-  std::atomic<uint64_t> speculative_wins{0};  // tasks won by the copy
 
   // Storage subsystem (BlockManager) counters.
   std::atomic<uint64_t> bytes_cached{0};       // gauge: resident block bytes

@@ -105,9 +105,8 @@ class SpanRecorder {
   std::atomic<uint64_t> next_span_id_;
   std::atomic<uint64_t> dropped_{0};
   std::atomic<bool> enabled_{true};
-  // Innermost lock: Record() is called from task bodies holding a
-  // TaskGate and from daemon RPC handler threads; nothing is acquired
-  // under it.
+  // Innermost lock: Record() is called from task bodies and from daemon
+  // RPC handler threads; nothing is acquired under it.
   mutable Mutex mu_{LockRank::kLeaf};
   std::deque<TraceSpan> ring_ GUARDED_BY(mu_);
 };

@@ -155,8 +155,8 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       if (req->content_hash != 0 &&
           blocks_.ContentHashOf(id) == req->content_hash) {
         // The daemon already holds an identical payload (duplicate
-        // store from a task retry or speculation loser): keep it, count
-        // the dedup, and tell the driver its copy was discarded.
+        // store from a task retry or a partial shuffle rerun): keep it,
+        // count the dedup, and tell the driver its copy was discarded.
         out.deduped = !blocks_.PutIfAbsent(
             id, std::move(payload), bytes, StorageLevel::kMemoryAndDisk,
             SpillFrameBuffer, LoadFrameBuffer,

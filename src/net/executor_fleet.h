@@ -30,9 +30,9 @@ namespace net {
 /// owned by daemon p % num_executors().
 ///
 /// mu_ has rank kNetFleet (46): it may be held while calling into an
-/// RpcClient (rank kNetClient=12), and is safely acquirable from task
-/// bodies holding a TaskGate (64). Spawn/restart runs under mu_ — daemon
-/// churn is rare and must serialize anyway.
+/// RpcClient (rank kNetClient=12); task bodies take it holding no engine
+/// lock. Spawn/restart runs under mu_ — daemon churn is rare and must
+/// serialize anyway.
 class ExecutorFleet {
  public:
   /// `spans` (optional) is the driver's span recorder: data-plane RPCs

@@ -1,8 +1,8 @@
-// Content-addressed block identity: a speculation winner, a retried
-// task, and an identically re-planned stage all produce the same frame
-// bytes, so they must collapse to ONE stored block — the duplicate
-// commit becomes a counted shuffle_block_dedup_hits instead of a second
-// copy. Also covers the mapped-vs-owned accounting split: mmap-backed
+// Content-addressed block identity: a first commit, a retried task, a
+// partial stage rerun, and an identically re-planned stage all produce
+// the same frame bytes, so they must collapse to ONE stored block — the
+// duplicate commit becomes a counted shuffle_block_dedup_hits instead of
+// a second copy. Also covers the mapped-vs-owned accounting split: mmap-backed
 // and dedup-shared bytes stay outside the memory budget.
 
 #include <gtest/gtest.h>
@@ -35,11 +35,11 @@ BlockManager::DataPtr AsPtr(std::vector<Record> records) {
   return std::make_shared<const std::vector<Record>>(std::move(records));
 }
 
-// The scenario the wire format exists for: the speculation winner
-// commits partition (1, 0); the discarded loser and a later task retry
-// commit the identical partition again. One block stays stored, every
-// duplicate is a counted hash hit.
-TEST(BlockDedup, SpeculationWinnerAndRetryShareOneBlock) {
+// The scenario the wire format exists for: the first attempt commits
+// partition (1, 0); a task retry and a partial stage rerun commit the
+// identical partition again. One block stays stored, every duplicate is
+// a counted hash hit.
+TEST(BlockDedup, RetryAndRerunShareOneBlock) {
   EngineMetrics metrics;
   BlockManager bm({}, 2, &metrics);
   const auto records = SomeRecords(500);
@@ -49,11 +49,11 @@ TEST(BlockDedup, SpeculationWinnerAndRetryShareOneBlock) {
   EXPECT_TRUE(bm.PutIfAbsent({1, 0}, AsPtr(records), 4000,
                              StorageLevel::kMemoryOnly, nullptr, nullptr,
                              /*recomputable=*/false, frame.content_hash))
-      << "the winner's commit must store the block";
+      << "the first commit must store the block";
   EXPECT_EQ(bm.ContentHashOf({1, 0}), frame.content_hash);
   const uint64_t owned_after_first = bm.bytes_in_memory();
 
-  // Discarded speculative loser, then a task retry: same id, same bytes.
+  // A task retry, then a partial stage rerun: same id, same bytes.
   EXPECT_FALSE(bm.PutIfAbsent({1, 0}, AsPtr(records), 4000,
                               StorageLevel::kMemoryOnly, nullptr, nullptr,
                               false, frame.content_hash));

@@ -1,7 +1,7 @@
 // Chaos suite: deterministic fault injection (ChaosPolicy) against real
 // pipelines, checked with a differential oracle — every chaos run must
 // produce results bit-exact with its fault-free twin, recovery must be
-// bounded, and the metrics must account for every retry/rerun/copy.
+// bounded, and the metrics must account for every retry and rerun.
 //
 // Seeds derive from SPANGLE_CHAOS_SEED (default 1234); every randomized
 // case prints its seed via SCOPED_TRACE so a failure is reproducible with
@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -105,7 +106,6 @@ void RunSeededParity(
 void ExpectCleanAccounting(Context& ctx) {
   EngineMetrics& m = ctx.metrics();
   EXPECT_EQ(m.bytes_cached.load(), ctx.block_manager().bytes_in_memory());
-  EXPECT_LE(m.speculative_wins.load(), m.speculative_launches.load());
   // Bounded recovery: every retry is one extra attempt of a logical
   // task, so retries can never exceed what a handful of rounds per
   // stage could relaunch.
@@ -182,11 +182,20 @@ TEST(ChaosTest, TaskRetriesExhaustedFailsTheJob) {
   EXPECT_EQ(ctx.metrics().task_retries.load(), 2u);
 }
 
+// A task index has one attempt in flight, and a retry is a new round after
+// the stage barrier, so the attempt a task sees is its retry round. The
+// stage record keeps the first attempt in the task's slot and appends
+// each retry as an extra trace lane carrying that round.
 TEST(ChaosTest, RetriedTaskSucceedsWithoutJobRerun) {
   Context ctx(4);
+  std::mutex mu;
+  std::vector<int> seen;
   auto policy = std::make_shared<ChaosPolicy>();
-  policy->fail_task = [](const ChaosTaskInfo& t) {
-    return t.stage == "count" && t.task == 5 && t.attempt < 2;
+  policy->fail_task = [&mu, &seen](const ChaosTaskInfo& t) {
+    if (t.stage != "count" || t.task != 5) return false;
+    std::lock_guard<std::mutex> lock(mu);
+    seen.push_back(t.attempt);
+    return t.attempt < 2;
   };
   ctx.set_chaos_policy(policy);
   std::vector<int> data(640);
@@ -195,6 +204,24 @@ TEST(ChaosTest, RetriedTaskSucceedsWithoutJobRerun) {
   EXPECT_EQ(ctx.metrics().task_retries.load(), 2u);
   EXPECT_EQ(ctx.metrics().stage_reruns.load(), 0u);
   EXPECT_EQ(ctx.metrics().jobs_run.load(), 1u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
+
+  std::vector<StageStat> counts;
+  for (StageStat& s : ctx.metrics().StageStats()) {
+    if (s.name == "count") counts.push_back(std::move(s));
+  }
+  ASSERT_EQ(counts.size(), 1u);
+  const StageStat& stage = counts[0];
+  EXPECT_EQ(stage.task_retries, 2);
+  ASSERT_EQ(stage.tasks.size(), 10u) << "8 primary slots + 2 retry lanes";
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(stage.tasks[i].index, i);
+    EXPECT_EQ(stage.tasks[i].attempt, 0) << "slot " << i;
+  }
+  EXPECT_EQ(stage.tasks[8].index, 5);
+  EXPECT_EQ(stage.tasks[8].attempt, 1);
+  EXPECT_EQ(stage.tasks[9].index, 5);
+  EXPECT_EQ(stage.tasks[9].attempt, 2);
 }
 
 // Reduce tasks commit their own output partition. A reduce attempt killed
@@ -396,68 +423,6 @@ TEST(ChaosTest, SeededMaskFilterParity) {
         return chaos_ctx.metrics().task_retries.load() +
                chaos_ctx.metrics().stage_reruns.load();
       });
-}
-
-// ---------------------------------------------------------------------------
-// Speculation: re-launching a straggler must be invisible in results and
-// storage — the only trace it leaves is in the speculation counters.
-// ---------------------------------------------------------------------------
-
-TEST(ChaosTest, SpeculationIsResultIdempotent) {
-  struct RunOutcome {
-    std::vector<int> result;
-    uint64_t bytes_cached = 0;
-    uint64_t launches = 0;
-    uint64_t wins = 0;
-  };
-  auto run = [](bool speculate) {
-    Context ctx(4);
-    FaultToleranceOptions opts;
-    opts.speculation = speculate;
-    opts.speculation_multiplier = 1.5;
-    opts.speculation_min_runtime_us = 5000;
-    opts.speculation_min_completed_fraction = 0.5;
-    opts.speculation_check_interval_us = 200;
-    ctx.set_fault_options(opts);
-    auto policy = std::make_shared<ChaosPolicy>();
-    // Manufacture one straggler: the first attempt of result task 3
-    // stalls far past the stage median. With speculation on, the copy
-    // must win and release the stalled attempt early (interruptible
-    // delay); with it off, the task simply takes the full delay. Both
-    // attempts run to completion either way — the batch barrier waits —
-    // so this exercises the discarded-loser path end to end.
-    policy->delay_us = [](const ChaosTaskInfo& t) -> uint64_t {
-      return (t.stage == "collect" && t.task == 3 && t.attempt == 0)
-                 ? 250000
-                 : 0;
-    };
-    ctx.set_chaos_policy(policy);
-    std::vector<int> data(400);
-    std::iota(data.begin(), data.end(), 0);
-    auto rdd = ctx.Parallelize(data, 8).Map([](const int& x) {
-      return x * 2 + 1;
-    });
-    rdd.Cache();
-    RunOutcome out;
-    out.result = rdd.Collect();
-    out.bytes_cached = ctx.metrics().bytes_cached.load();
-    out.launches = ctx.metrics().speculative_launches.load();
-    out.wins = ctx.metrics().speculative_wins.load();
-    EXPECT_EQ(out.bytes_cached, ctx.block_manager().bytes_in_memory());
-    return out;
-  };
-
-  const RunOutcome off = run(false);
-  EXPECT_EQ(off.launches, 0u);
-  EXPECT_EQ(off.wins, 0u);
-
-  const RunOutcome on = run(true);
-  EXPECT_EQ(on.result, off.result)
-      << "speculation must not change the result";
-  EXPECT_EQ(on.bytes_cached, off.bytes_cached)
-      << "the losing attempt must not double-commit cached blocks";
-  EXPECT_GE(on.launches, 1u);
-  EXPECT_GE(on.wins, 1u);
 }
 
 }  // namespace

@@ -1,40 +1,9 @@
-#include "engine/disk_persist.h"
-
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <cstring>
-#include <numeric>
 
 #include "array/array_rdd.h"
 
 namespace spangle {
 namespace {
-
-TEST(DiskPersistTest, RoundTripsInts) {
-  Context ctx(2);
-  std::vector<int> data(100);
-  std::iota(data.begin(), data.end(), 0);
-  auto rdd = ctx.Parallelize(data, 4).Map([](const int& x) { return x * 3; });
-  auto spilled = PersistToDisk<int>(
-      rdd, "/tmp", "spangle_test_ints",
-      [](const int& v, std::string* out) {
-        out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      },
-      [](const char* d, size_t n) {
-        int v = 0;
-        std::memcpy(&v, d, std::min(n, sizeof(v)));
-        return v;
-      });
-  EXPECT_EQ(spilled.num_partitions(), 4);
-  EXPECT_EQ(spilled.Collect(), rdd.Collect());
-  // Re-reading works repeatedly (data is on disk, not recomputed).
-  EXPECT_EQ(spilled.Count(), 100u);
-  for (int i = 0; i < 4; ++i) {
-    std::remove(("/tmp/spangle_test_ints_p" + std::to_string(i) + ".part")
-                    .c_str());
-  }
-}
 
 TEST(ChunkSerializationTest, RoundTripsAllModes) {
   for (ChunkMode mode : {ChunkMode::kDense, ChunkMode::kSparse,
@@ -85,22 +54,27 @@ TEST(ChunkSerializationTest, RejectsGarbage) {
   EXPECT_FALSE(Chunk::FromBytes(buf.data(), buf.size(), &consumed).ok());
 }
 
+// An array cached DISK_ONLY is written once through the chunk-frame
+// codec and read back from disk, never recomputed from lineage.
 TEST(DiskPersistTest, ArraySpillRoundTrip) {
   Context ctx(2);
   auto meta = *ArrayMetadata::Make({{"x", 0, 64, 16, 0}});
   std::vector<CellValue> cells;
   for (int64_t x = 0; x < 64; x += 3) cells.push_back({{x}, double(x)});
   auto array = *ArrayRdd::FromCells(&ctx, meta, cells);
-  auto spilled = array.SpillToDisk("/tmp", "spangle_test_spill");
-  EXPECT_EQ(spilled.CountValid(), array.CountValid());
-  EXPECT_DOUBLE_EQ(*spilled.GetCell({33}), 33.0);
-  EXPECT_TRUE(spilled.GetCell({34}).status().IsNotFound());
-  // Spilled array keeps the partitioner: point queries stay single-task.
-  EXPECT_TRUE(spilled.chunks().partitioner() != nullptr);
-  for (int i = 0; i < spilled.chunks().num_partitions(); ++i) {
-    std::remove(("/tmp/spangle_test_spill_p" + std::to_string(i) + ".part")
-                    .c_str());
-  }
+  const uint64_t valid = array.CountValid();
+  array.Cache(StorageLevel::kDiskOnly);
+  EXPECT_EQ(array.CountValid(), valid);  // first read writes the blocks
+
+  ctx.metrics().Reset();
+  EXPECT_EQ(array.CountValid(), valid);
+  EXPECT_DOUBLE_EQ(*array.GetCell({33}), 33.0);
+  EXPECT_TRUE(array.GetCell({34}).status().IsNotFound());
+  // Caching keeps the partitioner: point queries stay single-task.
+  EXPECT_TRUE(array.chunks().partitioner() != nullptr);
+  EXPECT_GT(ctx.metrics().disk_reads.load(), 0u);
+  EXPECT_EQ(ctx.metrics().recomputed_partitions.load(), 0u)
+      << "DISK_ONLY chunks come back from disk, never from lineage";
 }
 
 }  // namespace

@@ -181,9 +181,9 @@ TEST(ExecutorPoolTest, ConcurrentNestedRunAllFromEveryLane) {
 }
 
 TEST(ExecutorPoolTest, DoublyNestedRunAllUnwindsDepthCorrectly) {
-  // A flag (instead of a depth counter) would be cleared by the first
-  // nested batch to finish, letting a deeper nesting wrongly park on the
-  // barrier. Three levels prove the depth bookkeeping restores state.
+  // Three levels of nesting, then a second batch back at depth 1: every
+  // nested caller must drain its own batch inline rather than park on a
+  // barrier no free lane would ever release.
   ExecutorPool pool(2);
   std::atomic<int> leaf_ran{0};
   std::vector<std::function<void()>> outer;
@@ -200,21 +200,20 @@ TEST(ExecutorPoolTest, DoublyNestedRunAllUnwindsDepthCorrectly) {
 }
 
 TEST(ExecutorPoolTest, NestedRunAllErrorStaysInItsOwnBatch) {
-  // An exception in a nested batch surfaces from the *nested* RunAll (the
-  // legacy overload rethrows) and must not poison the outer batch.
+  // An exception in a nested batch surfaces in the *nested* RunAll's
+  // result and must not poison the outer batch.
   ExecutorPool pool(2);
   std::atomic<bool> inner_threw{false};
   std::vector<ExecutorPool::Task> outer;
-  outer.emplace_back([&pool, &inner_threw](int) {
-    std::vector<std::function<void()>> inner;
+  outer.emplace_back([&pool, &inner_threw] {
+    std::vector<ExecutorPool::Task> inner;
     inner.emplace_back([] { throw std::runtime_error("nested boom"); });
-    try {
-      pool.RunAll(std::move(inner));
-    } catch (const std::runtime_error& e) {
-      inner_threw.store(std::string(e.what()) == "nested boom");
-    }
+    const ExecutorPool::BatchResult res = pool.RunAll(std::move(inner));
+    inner_threw.store(res.tasks.size() == 1 &&
+                      res.tasks[0].status.message() == "nested boom" &&
+                      res.tasks[0].error != nullptr);
   });
-  outer.emplace_back([](int) {});
+  outer.emplace_back([] {});
   const ExecutorPool::BatchResult res = pool.RunAll(std::move(outer));
   EXPECT_TRUE(res.ok()) << "outer batch poisoned by nested error";
   EXPECT_TRUE(inner_threw.load());
@@ -239,7 +238,7 @@ TEST(ExecutorPoolTest, ThrowingTaskDoesNotPoisonBatch) {
   std::atomic<int> ran{0};
   std::vector<ExecutorPool::Task> tasks;
   for (int i = 0; i < 32; ++i) {
-    tasks.emplace_back([&ran, i](int) {
+    tasks.emplace_back([&ran, i] {
       if (i == 7) throw std::runtime_error("boom in task 7");
       ran.fetch_add(1);
     });
@@ -257,24 +256,7 @@ TEST(ExecutorPoolTest, ThrowingTaskDoesNotPoisonBatch) {
     } else {
       EXPECT_TRUE(res.tasks[i].status.ok()) << "task " << i;
     }
-    EXPECT_EQ(res.tasks[i].attempts, 1);
   }
-}
-
-TEST(ExecutorPoolTest, LegacyRunAllRethrowsFirstErrorAfterBarrier) {
-  ExecutorPool pool(2);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.emplace_back([&ran, i] {
-      if (i == 2) throw std::runtime_error("legacy failure");
-      ran.fetch_add(1);
-    });
-  }
-  EXPECT_THROW(pool.RunAll(std::move(tasks)), std::runtime_error);
-  // The barrier still held: the error surfaced only after every other
-  // task finished.
-  EXPECT_EQ(ran.load(), 7);
 }
 
 TEST(ExecutorPoolTest, ThrowingBatchLeavesConcurrentBatchIntact) {
@@ -286,7 +268,7 @@ TEST(ExecutorPoolTest, ThrowingBatchLeavesConcurrentBatchIntact) {
   std::thread bad([&] {
     std::vector<ExecutorPool::Task> tasks;
     for (int i = 0; i < 16; ++i) {
-      tasks.emplace_back([](int) {
+      tasks.emplace_back([] {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         throw std::runtime_error("all tasks fail");
       });
@@ -296,7 +278,7 @@ TEST(ExecutorPoolTest, ThrowingBatchLeavesConcurrentBatchIntact) {
   std::thread ok([&] {
     std::vector<ExecutorPool::Task> tasks;
     for (int i = 0; i < 16; ++i) {
-      tasks.emplace_back([&good](int) {
+      tasks.emplace_back([&good] {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         good.fetch_add(1);
       });
@@ -307,45 +289,6 @@ TEST(ExecutorPoolTest, ThrowingBatchLeavesConcurrentBatchIntact) {
   ok.join();
   EXPECT_TRUE(bad_failed.load());
   EXPECT_EQ(good.load(), 16);
-}
-
-TEST(ExecutorPoolTest, SpeculationRelaunchesStragglerFirstFinisherWins) {
-  ExecutorPool pool(4);
-  // 7 fast tasks + 1 straggler. The straggler's first attempt sleeps far
-  // past the median; its speculative copy (attempt 1) returns at once.
-  std::atomic<bool> settled{false};
-  std::atomic<int> straggler_attempts{0};
-  std::vector<ExecutorPool::Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.emplace_back([&settled, &straggler_attempts, i](int attempt) {
-      if (i != 7) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        return;
-      }
-      straggler_attempts.fetch_add(1);
-      if (attempt == 0) {
-        // First-finisher-wins gate, as the scheduler builds it: wait for
-        // the copy to settle the task, then return as the discarded loser.
-        while (!settled.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return;
-      }
-      settled.store(true);
-    });
-  }
-  ExecutorPool::SpeculationOptions spec;
-  spec.enabled = true;
-  spec.multiplier = 1.5;
-  spec.min_runtime_us = 4000;
-  spec.min_completed_fraction = 0.5;
-  spec.check_interval_us = 200;
-  const ExecutorPool::BatchResult res =
-      pool.RunAll(std::move(tasks), nullptr, spec);
-  EXPECT_TRUE(res.ok());
-  EXPECT_GE(res.speculative_launches, 1);
-  EXPECT_EQ(straggler_attempts.load(), 2);
-  EXPECT_EQ(res.tasks[7].attempts, 2);
 }
 
 }  // namespace

@@ -217,27 +217,13 @@ TEST(LockRankDeathTest, ResultCacheOverMetricsDies) {
       "lock-rank violation.*metrics_like.*result_cache_like");
 }
 
-TEST(LockRankDeathTest, NestedTaskGateDies) {
-  // Why nested stages stay banned even though the pool now tolerates
-  // nested RunAll: a RunStage inside a task would acquire a second
-  // per-task gate at the same (outermost) rank under the first.
-  EXPECT_DEATH(
-      {
-        Mutex outer_gate(LockRank::kTaskGate, "task_gate_outer");
-        Mutex inner_gate(LockRank::kTaskGate, "task_gate_inner");
-        MutexLock l1(&outer_gate);
-        MutexLock l2(&inner_gate);
-      },
-      "lock-rank violation.*task_gate_inner.*task_gate_outer");
-}
-
 TEST(LockRankTest, DiagnosticListsFullHeldStack) {
   // The report names every held lock, outermost first, with its site.
   EXPECT_DEATH(
       {
         Mutex a(LockRank::kScheduler, "stack_outer");
         Mutex b(LockRank::kBlockManager, "stack_middle");
-        Mutex c(LockRank::kTaskGate, "stack_newcomer");
+        Mutex c(LockRank::kJobServer, "stack_newcomer");
         MutexLock l1(&a);
         MutexLock l2(&b);
         MutexLock l3(&c);
@@ -246,21 +232,17 @@ TEST(LockRankTest, DiagnosticListsFullHeldStack) {
       "first:.*stack_outer.*stack_middle");
 }
 
-// The real engine hierarchy, end to end: a shuffle job with speculation,
+// The real engine hierarchy, end to end: a shuffle job with
 // chaos-injected delays, profiling, spill-eligible storage, and a
-// post-run metrics/profile read-out. Every mutex rank in the table —
-// TaskGate > Scheduler > ShuffleNode > ExecutorPool > BlockManager >
-// Profile > Config > Metrics — is acquired on these paths; with the
-// detector active, any ordering regression aborts this test.
+// post-run metrics/profile read-out. The engine ranks on these paths —
+// Scheduler > ShuffleNode > ExecutorPool > BlockManager > Profile >
+// Config > Metrics — are all acquired; with the detector active, any
+// ordering regression aborts this test.
 TEST(LockRankTest, EngineSmokeExercisesTheRealHierarchy) {
   Context ctx(3);
-  FaultToleranceOptions opts;
-  opts.speculation = true;
-  opts.speculation_min_runtime_us = 100;
-  ctx.set_fault_options(opts);
   auto chaos = std::make_shared<ChaosPolicy>();
   chaos->delay_us = [](const ChaosTaskInfo& info) -> uint64_t {
-    return info.task == 0 ? 500 : 0;  // one straggler per stage
+    return info.task == 0 ? 500 : 0;  // one slow task per stage
   };
   ctx.set_chaos_policy(chaos);
 

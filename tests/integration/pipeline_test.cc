@@ -76,18 +76,13 @@ TEST(PipelineTest, SgridToQueryToCsvRoundTrip) {
   auto back = *ReadCsv(&ctx, csv_path, data.meta);
   EXPECT_EQ(back.CountValid(), bloom_cells);
 
-  // 7. Spill the reconciled attribute to disk and query the spilled copy.
-  auto spilled = (*evaluated.Attribute("chlorophyll"))
-                     .SpillToDisk("/tmp", "spangle_pipeline_spill");
+  // 7. Cache the reconciled attribute on disk and query the cached copy.
+  auto spilled = *evaluated.Attribute("chlorophyll");
+  spilled.Cache(StorageLevel::kDiskOnly);
   EXPECT_EQ(spilled.CountValid(), bloom_cells);
 
   std::remove(sgrid_path.c_str());
   std::remove(csv_path.c_str());
-  for (int i = 0; i < spilled.chunks().num_partitions(); ++i) {
-    std::remove(
-        ("/tmp/spangle_pipeline_spill_p" + std::to_string(i) + ".part")
-            .c_str());
-  }
 }
 
 TEST(PipelineTest, ConcurrencyStressManyWorkersAgree) {

@@ -885,7 +885,7 @@ class Parser {
       }
       if (id == "struct" || id == "class") {
         // Local struct/class: parse it with the scope machinery so its
-        // mutex members and GUARDED_BY fields are captured (TaskGate).
+        // mutex members and GUARDED_BY fields are captured.
         ParseClass();
         prev_sig = -1;
         continue;
