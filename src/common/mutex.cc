@@ -22,8 +22,6 @@ const char* LockRankName(LockRank rank) {
       return "kConfig";
     case LockRank::kProfileSamples:
       return "kProfileSamples";
-    case LockRank::kProfile:
-      return "kProfile";
     case LockRank::kBlockManager:
       return "kBlockManager";
     case LockRank::kExecutorPool:

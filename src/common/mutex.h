@@ -4,16 +4,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <utility>
 
 #include "common/thread_annotations.h"
 
 // Annotated mutex wrappers plus a debug-mode lock-rank deadlock detector.
 //
-// Every engine mutex is a spangle::Mutex (or SharedMutex) constructed with
-// a rank from the engine-wide lock hierarchy below. Two complementary
-// guards hang off that:
+// Every engine mutex is a spangle::Mutex constructed with a rank from the
+// engine-wide lock hierarchy below. Two complementary guards hang off
+// that:
 //
 //  1. Clang thread-safety analysis (-Wthread-safety, see
 //     thread_annotations.h): GUARDED_BY fields and REQUIRES/ACQUIRE/
@@ -67,7 +66,6 @@ namespace spangle {
 ///        |   per-task status capture)            | run outside the lock)
 ///   32   | BlockManager::mu_ (budget/LRU/spill   | spill/load codecs only
 ///        |   maps, PutIfAbsent commit)           | (no engine locks)
-///   24   | RuntimeProfile::mu_ (node profiles)   | nothing
 ///   20   | RuntimeProfile::samples_mu_           | metrics atomics only
 ///   16   | Context::fault_mu_ (retry/chaos opts) | nothing
 ///   12   | RpcClient::mu_ (call serialization)   | socket I/O + metrics
@@ -86,7 +84,6 @@ enum class LockRank : int {
   kNetClient = 12,
   kConfig = 16,
   kProfileSamples = 20,
-  kProfile = 24,
   kBlockManager = 32,
   kExecutorPool = 40,
   kNetFleet = 46,
@@ -216,75 +213,6 @@ static_assert(sizeof(Mutex) == sizeof(std::mutex),
               "release Mutex must carry no detector state");
 #endif
 
-/// Annotated reader/writer mutex. Shared (reader) acquisitions go through
-/// the same rank detector as exclusive ones: readers can deadlock writers
-/// just as well.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank = LockRank::kLeaf,
-                       const char* name = "shared_mutex")
-#if SPANGLE_LOCK_RANK_CHECKS
-      : rank_(rank), name_(name) {
-  }
-#else
-  {
-    (void)rank;
-    (void)name;
-  }
-#endif
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock(const char* file = __builtin_FILE(),
-            int line = __builtin_LINE()) ACQUIRE() {
-#if SPANGLE_LOCK_RANK_CHECKS
-    lock_rank_internal::OnAcquire(this, rank_, name_, file, line);
-#else
-    (void)file;
-    (void)line;
-#endif
-    mu_.lock();
-  }
-
-  void Unlock() RELEASE() {
-#if SPANGLE_LOCK_RANK_CHECKS
-    lock_rank_internal::OnRelease(this, name_);
-#endif
-    mu_.unlock();
-  }
-
-  void ReaderLock(const char* file = __builtin_FILE(),
-                  int line = __builtin_LINE()) ACQUIRE_SHARED() {
-#if SPANGLE_LOCK_RANK_CHECKS
-    lock_rank_internal::OnAcquire(this, rank_, name_, file, line);
-#else
-    (void)file;
-    (void)line;
-#endif
-    mu_.lock_shared();
-  }
-
-  void ReaderUnlock() RELEASE_SHARED() {
-#if SPANGLE_LOCK_RANK_CHECKS
-    lock_rank_internal::OnRelease(this, name_);
-#endif
-    mu_.unlock_shared();
-  }
-
-#if SPANGLE_LOCK_RANK_CHECKS
-  LockRank rank() const { return rank_; }
-  const char* name() const { return name_; }
-#endif
-
- private:
-  std::shared_mutex mu_;
-#if SPANGLE_LOCK_RANK_CHECKS
-  const LockRank rank_;
-  const char* const name_;
-#endif
-};
-
 /// RAII exclusive lock. Supports mid-scope Unlock()/Lock() (the executor
 /// pool's help-then-wait loop); the destructor releases only when held.
 class SCOPED_CAPABILITY MutexLock {
@@ -316,42 +244,6 @@ class SCOPED_CAPABILITY MutexLock {
  private:
   Mutex* const mu_;
   bool held_ = true;
-};
-
-/// RAII shared (reader) lock on a SharedMutex.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu, const char* file = __builtin_FILE(),
-                           int line = __builtin_LINE()) ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_->ReaderLock(file, line);
-  }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
-  ~ReaderMutexLock() RELEASE() { mu_->ReaderUnlock(); }
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// RAII exclusive (writer) lock on a SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu, const char* file = __builtin_FILE(),
-                           int line = __builtin_LINE()) ACQUIRE(mu)
-      : mu_(mu) {
-    mu_->Lock(file, line);
-  }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
-  ~WriterMutexLock() RELEASE() { mu_->Unlock(); }
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable bound to spangle::Mutex. Wait methods REQUIRE the

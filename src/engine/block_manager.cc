@@ -69,12 +69,14 @@ const BlockManager::Block* BlockManager::Find(const BlockId& id) const {
   return pit == nit->second.end() ? nullptr : &pit->second;
 }
 
-std::string BlockManager::PathFor(const BlockId& id) {
+Result<std::string> BlockManager::PathFor(const BlockId& id) {
   if (!spill_dir_ready_) {
     std::error_code ec;
     fs::create_directories(spill_dir_, ec);
-    SPANGLE_CHECK(!ec) << "cannot create spill dir " << spill_dir_ << ": "
-                       << ec.message();
+    if (ec) {
+      return Status::IOError("cannot create spill dir " + spill_dir_ + ": " +
+                             ec.message());
+    }
     spill_dir_ready_ = true;
   }
   return spill_dir_ + "/block_" + std::to_string(id.node) + "_" +
@@ -112,12 +114,23 @@ void BlockManager::ReleaseMemory(Block& b) {
   UpdateGauges();
 }
 
-void BlockManager::SpillBlock(const BlockId& id, Block& b) {
-  if (b.on_disk) return;
-  b.path = PathFor(id);
-  const uint64_t written = b.spill(b.data.get(), b.path);
+bool BlockManager::SpillBlock(const BlockId& id, Block& b, const void* data) {
+  if (b.on_disk) return true;
+  Result<std::string> path = PathFor(id);
+  const Result<uint64_t> written =
+      path.ok() ? b.spill(data, *path) : Result<uint64_t>(path.status());
+  if (!written.ok()) {
+    std::error_code ec;
+    if (path.ok()) fs::remove(*path, ec);  // no partial file left behind
+    SPANGLE_LOG(Warning) << "spill of block (" << id.node << ", "
+                         << id.partition
+                         << ") failed: " << written.status().ToString();
+    return false;
+  }
+  b.path = *std::move(path);
   b.on_disk = true;
-  metrics_->spilled_bytes.fetch_add(written);
+  metrics_->spilled_bytes.fetch_add(*written);
+  return true;
 }
 
 void BlockManager::RemoveFile(Block& b) {
@@ -129,10 +142,15 @@ void BlockManager::RemoveFile(Block& b) {
 }
 
 void BlockManager::EvictBlock(const BlockId& id, Block& b) {
-  if (b.level == StorageLevel::kMemoryAndDisk && b.spill != nullptr) {
+  // A DISK_ONLY block is resident only after its put failed to spill, so
+  // eviction retries the write like any disk-backed level. When the
+  // spill fails, a block lineage cannot recompute (shuffle output) stays
+  // resident; any other block is dropped as lost below.
+  if (b.level != StorageLevel::kMemoryOnly && b.spill != nullptr) {
     // blocking-ok: spill-before-evict under mu_ is the documented eviction
     // design — the budget must not be released before the bytes are safe.
-    SpillBlock(id, b);
+    const bool spilled = SpillBlock(id, b, b.data.get());
+    if (!spilled && !b.recomputable) return;
   }
   if (!b.on_disk) b.lost = true;
   ReleaseMemory(b);
@@ -227,12 +245,11 @@ void BlockManager::PutLocked(const BlockId& id, DataPtr data, uint64_t bytes,
   b.load = std::move(load);
   b.lost = false;
   if (content_hash != 0) content_index_[content_hash] = id;
+  // A DISK_ONLY block is never resident, unless its write fails: then it
+  // stays in memory rather than being lost.
   if (level == StorageLevel::kDiskOnly && b.spill != nullptr) {
-    b.path = PathFor(id);
-    const uint64_t written = b.spill(data.get(), b.path);
-    b.on_disk = true;
-    metrics_->spilled_bytes.fetch_add(written);
-    return;  // never resident
+    // blocking-ok: a DISK_ONLY put writes through; designed blocking.
+    if (SpillBlock(id, b, data.get())) return;
   }
   // blocking-ok: eviction may spill to disk; designed blocking.
   EvictToFit(bytes - std::min(unowned_bytes, bytes), id);

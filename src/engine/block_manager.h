@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/mutex.h"
+#include "common/result.h"
 #include "common/thread_annotations.h"
 #include "engine/metrics.h"
 #include "engine/storage_level.h"
@@ -39,13 +40,15 @@ struct StorageOptions {
 /// partition in the system — node caches and shuffle outputs — lives
 /// here, keyed by (node, partition). The manager accounts each block's
 /// estimated bytes, enforces the memory budget with LRU eviction, spills
-/// MEMORY_AND_DISK blocks to length-prefixed files, and models executor
+/// MEMORY_AND_DISK blocks to chunk-frame files, and models executor
 /// loss: each partition is "resident" on worker (partition % workers),
 /// and FailExecutor(w) discards every block — memory and local disk —
 /// that lived on w. Lost recomputable blocks are remembered so lineage
 /// recomputation can be counted; lost shuffle blocks make their node
 /// report !IsMaterialized(), which re-runs the shuffle before the next
-/// action.
+/// action. A failed spill never aborts: an evicted block lineage can
+/// recompute is dropped as lost, any other block stays resident, and a
+/// DISK_ONLY put that cannot reach disk stays in memory.
 ///
 /// Thread safe. Payloads are shared_ptrs, so readers keep their data
 /// alive even when the block is evicted underneath them.
@@ -53,7 +56,8 @@ class BlockManager {
  public:
   using DataPtr = std::shared_ptr<const void>;
   /// Writes a block payload to `path`; returns bytes written.
-  using SpillFn = std::function<uint64_t(const void*, const std::string&)>;
+  using SpillFn =
+      std::function<Result<uint64_t>(const void*, const std::string&)>;
 
   /// A payload read back from disk. `mapped_bytes` is how much of the
   /// payload is file-backed (mmap) rather than owned heap memory — those
@@ -192,13 +196,16 @@ class BlockManager {
   void ReleaseMemory(Block& b) REQUIRES(mu_);
   void EvictToFit(uint64_t incoming, const BlockId& protect) REQUIRES(mu_);
   void EvictBlock(const BlockId& id, Block& b) REQUIRES(mu_);
+  // Writes `data` to b's spill file; false (with a logged warning) when
+  // the write failed and the block has no disk copy.
   // spangle-lint: may-block — writes the payload through the SpillFn
   // callback (disk I/O the call graph cannot see). Spilling under mu_
   // is the documented eviction design; see DESIGN.md.
-  void SpillBlock(const BlockId& id, Block& b) REQUIRES(mu_);
+  bool SpillBlock(const BlockId& id, Block& b, const void* data)
+      REQUIRES(mu_);
   void RemoveFile(Block& b) REQUIRES(mu_);
   void DropBlockLocked(const BlockId& id, Block& b) REQUIRES(mu_);
-  std::string PathFor(const BlockId& id) REQUIRES(mu_);
+  Result<std::string> PathFor(const BlockId& id) REQUIRES(mu_);
   void UpdateGauges() REQUIRES(mu_);
 
   const uint64_t budget_;

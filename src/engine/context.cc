@@ -49,15 +49,6 @@ void Context::FailExecutor(int worker) {
   if (fleet_ != nullptr) fleet_->FailExecutor(worker % fleet_->num_executors());
 }
 
-void Context::RunStage(int n, const std::function<void(int)>& fn) {
-  RunStage("stage", n, fn, /*stage_attempt=*/0);
-}
-
-void Context::RunStage(const std::string& name, int n,
-                       const std::function<void(int)>& fn) {
-  RunStage(name, n, fn, /*stage_attempt=*/0);
-}
-
 void Context::RunStage(const std::string& name, int n,
                        const std::function<void(int)>& fn,
                        int stage_attempt) {
@@ -109,7 +100,8 @@ void Context::RunStage(const std::string& name, int n,
     stat.wall_us = pool_.NowMicros() - stat.start_us;
     if (profile != nullptr) profile->SampleCounters(pool_.NowMicros());
     // Task-time distribution over the primary attempts: min/max/total,
-    // log-scale histogram, skew ratio (max/mean), stragglers (> 2x mean).
+    // the task_duration_us histogram, skew ratio (max/mean), stragglers
+    // (> 2x mean).
     if (n > 0) {
       stat.min_task_us = UINT64_MAX;
       for (int i = 0; i < n; ++i) {
@@ -119,12 +111,6 @@ void Context::RunStage(const std::string& name, int n,
         stat.total_task_us += t.duration_us;
         metrics_.task_duration_us.Observe(
             static_cast<double>(t.duration_us));
-        for (size_t b = 0; b < StageStat::kHistBoundsUs.size(); ++b) {
-          if (t.duration_us <= StageStat::kHistBoundsUs[b]) {
-            ++stat.task_hist[b];
-            break;
-          }
-        }
       }
       const double mean =
           static_cast<double>(stat.total_task_us) / static_cast<double>(n);

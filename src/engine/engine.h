@@ -53,7 +53,7 @@ class NodeBase;
 /// lineage DAG into a staged physical plan (stages cut at shuffle
 /// boundaries, deduped by node id), materializes independent shuffle
 /// stages concurrently, then runs the action's result stage. Every stage
-/// is instrumented (wall time, task-time histogram, skew, shuffle bytes)
+/// is instrumented (wall time, task times, skew, shuffle bytes)
 /// into EngineMetrics::StageStats, exportable with DumpTrace().
 class Context {
  public:
@@ -77,9 +77,9 @@ class Context {
   EngineMetrics& metrics() { return metrics_; }
   BlockManager& block_manager() { return block_manager_; }
 
-  /// Per-node executed actuals (rows, bytes, self time, chunk modes),
-  /// populated by worker threads while profiling is enabled. The store
-  /// behind ExplainAnalyze and the trace counter tracks.
+  /// Profiling hooks bound to worker threads while profiling is enabled
+  /// (per-node actuals live on the nodes themselves), and the sample
+  /// ring behind the trace counter tracks.
   RuntimeProfile& profile() { return profile_; }
 
   /// Profiling is on by default; the hooks cost a few relaxed atomics
@@ -134,9 +134,9 @@ class Context {
       std::shared_ptr<Partitioner<K>> partitioner);
 
   /// Runs fn(0..n-1) as one stage across the pool. One task per index.
-  /// The named overload labels the stage's StageStat record; the unnamed
-  /// one records under "stage". Thread-safe: concurrent stages from
-  /// different driver threads interleave over the shared workers.
+  /// `name` labels the stage's StageStat record. Thread-safe: concurrent
+  /// stages from different driver threads interleave over the shared
+  /// workers.
   ///
   /// Fault tolerance: a task attempt that throws is retried up to
   /// `FaultToleranceOptions::max_task_retries` times with exponential
@@ -146,14 +146,12 @@ class Context {
   /// lineage. Retries and job re-attempts may invoke fn more than once
   /// for the same index; fn must be deterministic per index (all engine
   /// call sites write per-index slots, which is enough).
-  void RunStage(int n, const std::function<void(int)>& fn);
-  void RunStage(const std::string& name, int n,
-                const std::function<void(int)>& fn);
+  ///
   /// `stage_attempt` labels re-executions of the same logical stage
   /// (shuffle re-materializations, job re-attempts) in StageStat/traces
   /// and is exposed to ChaosPolicy predicates.
   void RunStage(const std::string& name, int n,
-                const std::function<void(int)>& fn, int stage_attempt);
+                const std::function<void(int)>& fn, int stage_attempt = 0);
 
   /// Submits one job for `action` over `root`: plans the lineage DAG,
   /// materializes every pending shuffle stage (independent stages
@@ -313,6 +311,10 @@ class NodeBase {
   uint64_t id() const { return id_; }
   const std::string& name() const { return name_; }
 
+  /// This node's executed actuals, accumulated while profiling is on.
+  NodeProfile& profile() { return profile_; }
+  const NodeProfile& profile() const { return profile_; }
+
   /// Content seed for LineageDigest (below). 0 — the default — marks the
   /// node content-opaque: C++ closures cannot be hashed, so a plan only
   /// participates in digest-keyed result caching when the caller has
@@ -330,6 +332,7 @@ class NodeBase {
   uint64_t id_;
   std::string name_;
   std::atomic<uint64_t> digest_seed_{0};
+  NodeProfile profile_;
 };
 
 /// Structural content digest of the lineage DAG rooted at `node`: a
@@ -360,9 +363,9 @@ class Node : public NodeBase {
   /// Partition contents; serves from the block store when persistence is
   /// enabled, otherwise recomputes from parents (lineage). The
   /// OperatorScope attributes rows/bytes/self-time to this node's
-  /// RuntimeProfile entry when the calling thread is profiling.
+  /// profile when the calling thread is profiling.
   PartitionPtr GetPartition(int i) {
-    prof::OperatorScope op(id());
+    prof::OperatorScope op(&profile());
     const StorageLevel level =
         storage_level_.load(std::memory_order_acquire);
     bool was_lost = false;
@@ -437,17 +440,16 @@ class Node : public NodeBase {
 
   /// Spills encode through the chunk-frame codec (same bytes a shuffle
   /// block has on the wire) and credit the codec counters; non-static so
-  /// the closure can reach this context's metrics.
+  /// the closure can reach this context's metrics. A failed write is
+  /// returned to the BlockManager, which keeps or drops the block.
   BlockManager::SpillFn MakeSpillFn() {
     if constexpr (codec::kSpillable<T>) {
       EngineMetrics* metrics = &ctx()->metrics();
-      return [metrics](const void* data, const std::string& path) -> uint64_t {
+      return [metrics](const void* data,
+                       const std::string& path) -> Result<uint64_t> {
         const codec::EncodedFrame frame = EncodePartitionTimed(
             *metrics, *static_cast<const std::vector<T>*>(data));
-        auto written = codec::WriteWholeFile(frame.bytes, path);
-        SPANGLE_CHECK(written.ok())
-            << "spill write failed: " << written.status().ToString();
-        return *written;
+        return codec::WriteWholeFile(frame.bytes, path);
       };
     } else {
       return nullptr;

@@ -363,7 +363,7 @@ void JobServer::ExecuteJob(Job* job) {
   done_cv_.NotifyAll();
 }
 
-uint64_t EstimateJobBytes(Context* ctx, internal::NodeBase* root,
+uint64_t EstimateJobBytes(internal::NodeBase* root,
                           uint64_t default_per_partition) {
   if (root == nullptr) return default_per_partition;
   uint64_t total = 0;
@@ -374,7 +374,7 @@ uint64_t EstimateJobBytes(Context* ctx, internal::NodeBase* root,
     stack.pop_back();
     if (!visited.insert(n).second) continue;
     const auto parts = static_cast<uint64_t>(n->num_partitions());
-    const NodeProfileSnapshot snap = ctx->profile().Snapshot(n->id());
+    const NodeProfileSnapshot snap = n->profile().Snapshot();
     if (snap.invocations > 0 && snap.bytes_out > 0) {
       total += snap.bytes_out / snap.invocations * parts;
     } else {

@@ -22,6 +22,14 @@
 
 namespace spangle {
 
+/// Admission estimate for materializing `root`'s plan: per node, its
+/// profile when the node has executed before (mean bytes_out per
+/// invocation × partitions — re-submitting a served plan gets real
+/// numbers), else `default_per_partition` × partitions. Already-cached
+/// shuffle outputs still count (conservative).
+uint64_t EstimateJobBytes(internal::NodeBase* root,
+                          uint64_t default_per_partition = 64 * 1024);
+
 /// Multi-tenant serving front door for a Context.
 ///
 /// Many sessions submit jobs concurrently; the server queues each job on
@@ -33,7 +41,7 @@ namespace spangle {
 ///    consecutive dispatch slots per cycle, so no tenant starves behind a
 ///    firehose neighbor and wait-time skew stays bounded by the weights.
 ///  - **Memory-aware admission**: each job carries a byte estimate
-///    (declared, or derived from RuntimeProfile history via
+///    (declared, or derived from the lineage nodes' profiles via
 ///    EstimateJobBytes). A job is dispatched only while
 ///    `bytes_in_memory + committed estimates` stays under
 ///    `admit_watermark × BlockManager budget` — eviction pressure
@@ -174,7 +182,7 @@ class JobServer {
                               SubmitOptions opts) {
     if (opts.digest == 0) opts.digest = rdd.LineageDigest();
     if (opts.estimate_bytes == 0) {
-      opts.estimate_bytes = EstimateJobBytes(ctx_, rdd.node());
+      opts.estimate_bytes = EstimateJobBytes(rdd.node());
     }
     if (opts.label.empty()) opts.label = rdd.node()->name();
     return Submit(
@@ -322,14 +330,6 @@ class JobServer {
 
   std::vector<std::thread> dispatchers_;
 };
-
-/// Admission estimate for materializing `root`'s plan: per node, profile
-/// history when the node has executed before (mean bytes_out per
-/// invocation × partitions — re-submitting a served plan gets real
-/// numbers), else `default_per_partition` × partitions. Already-cached
-/// shuffle outputs still count (conservative).
-uint64_t EstimateJobBytes(Context* ctx, internal::NodeBase* root,
-                          uint64_t default_per_partition = 64 * 1024);
 
 }  // namespace spangle
 

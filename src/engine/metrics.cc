@@ -14,9 +14,8 @@ namespace {
 // any. Bound by Context::RunStage around each task body.
 thread_local EngineMetrics::StageAccumulator* tl_stage_acc = nullptr;
 
-// Finite log-scale task-duration bounds (us); the registry histogram gets
-// an implicit overflow bucket, unlike StageStat::kHistBoundsUs whose last
-// entry is UINT64_MAX.
+// Finite log-scale task-duration bounds (us); the histogram adds an
+// implicit overflow bucket.
 std::vector<double> TaskDurationBounds() {
   return {10, 100, 1000, 10000, 100000, 1000000, 10000000};
 }
@@ -71,6 +70,60 @@ const MetricDef* MetricRegistry::Find(const std::string& name) const {
     if (m.name == name) return &m;
   }
   return nullptr;
+}
+
+MetricSnapshot MetricRegistry::Snapshot() const {
+  MetricSnapshot out;
+  out.entries_.reserve(metrics_.size());
+  for (const MetricDef& m : metrics_) {
+    MetricSnapshot::Entry e;
+    e.name = m.name;
+    e.kind = m.kind;
+    if (m.kind == MetricKind::kHistogram) {
+      e.bounds = m.histogram->bounds();
+      e.buckets = m.histogram->BucketCounts();
+      for (const uint64_t c : e.buckets) e.value += c;
+    } else {
+      e.value = m.value->load(std::memory_order_relaxed);
+    }
+    out.entries_.push_back(std::move(e));
+  }
+  return out;
+}
+
+MetricSnapshot MetricSnapshot::operator-(const MetricSnapshot& earlier) const {
+  SPANGLE_CHECK(entries_.size() == earlier.entries_.size())
+      << "snapshots of different registries";
+  MetricSnapshot out = *this;
+  for (size_t i = 0; i < out.entries_.size(); ++i) {
+    Entry& e = out.entries_[i];
+    const Entry& prev = earlier.entries_[i];
+    if (e.kind == MetricKind::kGauge) continue;
+    e.value -= prev.value;
+    for (size_t b = 0; b < e.buckets.size(); ++b) {
+      e.buckets[b] -= prev.buckets[b];
+    }
+  }
+  return out;
+}
+
+const MetricSnapshot::Entry* MetricSnapshot::Find(
+    const std::string& name) const {
+  for (const Entry& e : entries_) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
+
+uint64_t MetricSnapshot::Value(const std::string& name) const {
+  const Entry* e = Find(name);
+  return e == nullptr ? 0 : e->value;
+}
+
+double MetricSnapshot::Percentile(const std::string& name, double q) const {
+  const Entry* e = Find(name);
+  if (e == nullptr) return 0.0;
+  return Histogram::PercentileFromCounts(e->bounds, e->buckets, q);
 }
 
 std::string StageStat::ToString() const {

@@ -1,7 +1,6 @@
 #ifndef SPANGLE_ENGINE_METRICS_H_
 #define SPANGLE_ENGINE_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -29,11 +28,6 @@ struct TaskStat {
 /// alike — and consumed by Explain-style reporting, tests, and the Chrome
 /// trace exporter (Context::DumpTrace).
 struct StageStat {
-  /// Log-scale task-duration histogram bucket upper bounds (microseconds);
-  /// the last bucket is open-ended.
-  static constexpr std::array<uint64_t, 8> kHistBoundsUs = {
-      10, 100, 1000, 10000, 100000, 1000000, 10000000, UINT64_MAX};
-
   uint64_t job_id = 0;   // 0 = outside any scheduler-submitted job
   uint64_t seq = 0;      // global stage sequence number (per context)
   std::string name;      // e.g. "reduceByKey/map", "collect"
@@ -50,8 +44,7 @@ struct StageStat {
   uint64_t min_task_us = 0;
   uint64_t max_task_us = 0;
   uint64_t total_task_us = 0;
-  std::array<uint32_t, 8> task_hist{};  // counts per kHistBoundsUs bucket
-  double skew_ratio = 0.0;              // max task time / mean task time
+  double skew_ratio = 0.0;  // max task time / mean task time
   int num_stragglers = 0;  // tasks slower than 2x the stage mean
 
   // Bytes/records this stage's tasks pushed through the shuffle write
@@ -147,10 +140,48 @@ struct MetricDef {
   Histogram* histogram = nullptr;          // kHistogram only
 };
 
+class MetricRegistry;
+
+/// Plain-value copy of every registered metric, in registry order: scalar
+/// values, and each histogram's bucket counts. Subtracting an earlier
+/// snapshot of the same registry leaves the activity in between — how
+/// ExplainAnalyze scopes the context-wide metrics to one run.
+class MetricSnapshot {
+ public:
+  /// Counters, timers and histogram buckets subtract; a gauge keeps this
+  /// snapshot's level, since the difference of two levels measures
+  /// nothing.
+  MetricSnapshot operator-(const MetricSnapshot& earlier) const;
+
+  /// The value of scalar `name`, or the observation count of histogram
+  /// `name`; 0 when no such metric is registered.
+  uint64_t Value(const std::string& name) const;
+
+  /// Estimated q-quantile of histogram `name` over this snapshot's bucket
+  /// counts (see Histogram::Percentile); 0 when absent or empty.
+  double Percentile(const std::string& name, double q) const;
+
+ private:
+  friend class MetricRegistry;
+
+  struct Entry {
+    std::string name;
+    MetricKind kind = MetricKind::kCounter;
+    uint64_t value = 0;             // scalar value or observation count
+    std::vector<double> bounds;     // kHistogram only
+    std::vector<uint64_t> buckets;  // kHistogram only
+  };
+
+  const Entry* Find(const std::string& name) const;
+
+  std::vector<Entry> entries_;
+};
+
 /// Typed metric registry: every EngineMetrics counter/gauge/timer/
 /// histogram registers itself here exactly once, and Reset()/ToString()/
-/// the JSON + Prometheus exporters iterate the registry — so adding a
-/// metric in one place keeps every surface in sync by construction.
+/// Snapshot()/the JSON + Prometheus exporters iterate the registry — so
+/// adding a metric in one place keeps every surface in sync by
+/// construction.
 class MetricRegistry {
  public:
   void RegisterScalar(MetricKind kind, std::string name, std::string unit,
@@ -160,6 +191,9 @@ class MetricRegistry {
 
   const std::vector<MetricDef>& metrics() const { return metrics_; }
   const MetricDef* Find(const std::string& name) const;
+
+  /// Current values of every registered metric.
+  MetricSnapshot Snapshot() const;
 
  private:
   std::vector<MetricDef> metrics_;

@@ -135,56 +135,28 @@ uint64_t NodeProfileSnapshot::TotalDensityObservations() const {
   return n;
 }
 
-NodeProfile* RuntimeProfile::GetOrCreate(uint64_t node_id) {
-  {
-    // Hot path: per-partition profile lookups of already-seen nodes only
-    // contend on a reader lock. The pointee outlives the lock (slots are
-    // only removed by Clear, which callers must not race with live tasks).
-    ReaderMutexLock lock(&mu_);
-    auto it = nodes_.find(node_id);
-    if (it != nodes_.end()) return it->second.get();
-  }
-  WriterMutexLock lock(&mu_);
-  auto it = nodes_.find(node_id);
-  if (it == nodes_.end()) {
-    it = nodes_.emplace(node_id, std::make_unique<NodeProfile>()).first;
-  }
-  return it->second.get();
-}
-
-NodeProfileSnapshot RuntimeProfile::Snapshot(uint64_t node_id) const {
+NodeProfileSnapshot NodeProfile::Snapshot() const {
   NodeProfileSnapshot out;
-  const NodeProfile* np = nullptr;
-  {
-    ReaderMutexLock lock(&mu_);
-    auto it = nodes_.find(node_id);
-    if (it == nodes_.end()) return out;
-    np = it->second.get();
-  }
-  out.invocations = np->invocations.load(std::memory_order_relaxed);
-  out.cache_hits = np->cache_hits.load(std::memory_order_relaxed);
-  out.rows_in = np->rows_in.load(std::memory_order_relaxed);
-  out.rows_out = np->rows_out.load(std::memory_order_relaxed);
-  out.bytes_out = np->bytes_out.load(std::memory_order_relaxed);
-  out.self_us = np->self_us.load(std::memory_order_relaxed);
+  out.invocations = invocations.load(std::memory_order_relaxed);
+  out.cache_hits = cache_hits.load(std::memory_order_relaxed);
+  out.rows_in = rows_in.load(std::memory_order_relaxed);
+  out.rows_out = rows_out.load(std::memory_order_relaxed);
+  out.bytes_out = bytes_out.load(std::memory_order_relaxed);
+  out.self_us = self_us.load(std::memory_order_relaxed);
   for (size_t i = 0; i < out.chunks_built.size(); ++i) {
-    out.chunks_built[i] = np->chunks_built[i].load(std::memory_order_relaxed);
+    out.chunks_built[i] = chunks_built[i].load(std::memory_order_relaxed);
   }
   for (size_t i = 0; i < out.mode_transitions.size(); ++i) {
     out.mode_transitions[i] =
-        np->mode_transitions[i].load(std::memory_order_relaxed);
+        mode_transitions[i].load(std::memory_order_relaxed);
   }
   for (size_t i = 0; i < out.density_hist.size(); ++i) {
-    out.density_hist[i] = np->density_hist[i].load(std::memory_order_relaxed);
+    out.density_hist[i] = density_hist[i].load(std::memory_order_relaxed);
   }
   return out;
 }
 
 void RuntimeProfile::Clear() {
-  {
-    WriterMutexLock lock(&mu_);
-    nodes_.clear();
-  }
   MutexLock lock(&samples_mu_);
   samples_.clear();
 }
@@ -247,7 +219,8 @@ std::string AnalyzedPlan::ToString() const {
   std::ostringstream os;
   os << "== Analyzed plan";
   if (!action.empty()) os << ": " << action;
-  os << " == wall=" << HumanUs(wall_us) << " stages=" << stages_run << "\n";
+  os << " == wall=" << HumanUs(wall_us)
+     << " stages=" << metrics.Value("stages_run") << "\n";
   for (const AnalyzedNode& n : nodes) {
     const std::string base(static_cast<size_t>(n.depth) * 3, ' ');
     os << base;
@@ -275,42 +248,56 @@ std::string AnalyzedPlan::ToString() const {
      << " chunks_built=" << totals.TotalChunksBuilt()
      << " mode_transitions=" << totals.TotalModeTransitions() << "\n";
   AppendArrayStats(os, "  ", totals);
-  if (codec_bytes_raw > 0 || shuffle_block_dedup_hits > 0) {
-    os << "codec: raw=" << HumanBytes(codec_bytes_raw)
-       << " encoded=" << HumanBytes(codec_bytes_encoded) << " ("
-       << (codec_bytes_raw > 0
-               ? static_cast<double>(codec_bytes_encoded) /
-                     static_cast<double>(codec_bytes_raw)
-               : 0.0)
-       << "x) encode=" << HumanUs(codec_encode_time_us)
-       << " dedup_hits=" << shuffle_block_dedup_hits << "\n";
+  const uint64_t codec_raw = metrics.Value("codec_bytes_raw");
+  const uint64_t codec_encoded = metrics.Value("codec_bytes_encoded");
+  const uint64_t dedup_hits = metrics.Value("shuffle_block_dedup_hits");
+  if (codec_raw > 0 || dedup_hits > 0) {
+    os << "codec: raw=" << HumanBytes(codec_raw)
+       << " encoded=" << HumanBytes(codec_encoded) << " ("
+       << (codec_raw > 0 ? static_cast<double>(codec_encoded) /
+                               static_cast<double>(codec_raw)
+                         : 0.0)
+       << "x) encode=" << HumanUs(metrics.Value("codec_encode_time_us"))
+       << " dedup_hits=" << dedup_hits << "\n";
   }
-  if (result_cache_hits > 0 || result_cache_misses > 0 ||
-      admission_queued > 0 || admission_rejected > 0 || jobs_served > 0) {
-    os << "serving: result_cache_hits=" << result_cache_hits
-       << " result_cache_misses=" << result_cache_misses
-       << " admission_queued=" << admission_queued
-       << " admission_rejected=" << admission_rejected;
-    if (jobs_served > 0) {
-      const auto p = [](double us) {
-        return HumanUs(static_cast<uint64_t>(us));
+  const uint64_t cache_hits = metrics.Value("result_cache_hits");
+  const uint64_t cache_misses = metrics.Value("result_cache_misses");
+  const uint64_t queued = metrics.Value("admission_queued");
+  const uint64_t rejected = metrics.Value("admission_rejected");
+  const uint64_t served = metrics.Value("jobs_served");
+  if (cache_hits > 0 || cache_misses > 0 || queued > 0 || rejected > 0 ||
+      served > 0) {
+    os << "serving: result_cache_hits=" << cache_hits
+       << " result_cache_misses=" << cache_misses
+       << " admission_queued=" << queued
+       << " admission_rejected=" << rejected;
+    if (served > 0) {
+      // Percentiles over only this run's jobs: the diffed bucket counts.
+      const auto p = [this](const char* hist) {
+        std::string out;
+        for (const double q : {0.50, 0.95, 0.99}) {
+          if (!out.empty()) out += "/";
+          out += HumanUs(static_cast<uint64_t>(metrics.Percentile(hist, q)));
+        }
+        return out;
       };
-      os << " jobs_served=" << jobs_served << " wait_p50/p95/p99="
-         << p(job_wait_p50_us) << "/" << p(job_wait_p95_us) << "/"
-         << p(job_wait_p99_us) << " run_p50/p95/p99=" << p(job_run_p50_us)
-         << "/" << p(job_run_p95_us) << "/" << p(job_run_p99_us)
-         << " e2e_p50/p95/p99=" << p(job_e2e_p50_us) << "/"
-         << p(job_e2e_p95_us) << "/" << p(job_e2e_p99_us);
+      os << " jobs_served=" << served
+         << " wait_p50/p95/p99=" << p("job_queue_wait_us")
+         << " run_p50/p95/p99=" << p("job_run_us")
+         << " e2e_p50/p95/p99=" << p("job_e2e_us");
     }
     os << "\n";
   }
-  if (rpc_roundtrips > 0 || executor_restarts > 0 || heartbeat_misses > 0) {
-    os << "fleet: rpc_roundtrips=" << rpc_roundtrips
-       << " sent=" << HumanBytes(rpc_bytes_sent)
-       << " received=" << HumanBytes(rpc_bytes_received)
-       << " remote_fetches=" << remote_shuffle_fetches
-       << " restarts=" << executor_restarts
-       << " heartbeat_misses=" << heartbeat_misses << "\n";
+  const uint64_t roundtrips = metrics.Value("rpc_roundtrips");
+  const uint64_t restarts = metrics.Value("executor_restarts");
+  const uint64_t hb_misses = metrics.Value("heartbeat_misses");
+  if (roundtrips > 0 || restarts > 0 || hb_misses > 0) {
+    os << "fleet: rpc_roundtrips=" << roundtrips
+       << " sent=" << HumanBytes(metrics.Value("rpc_bytes_sent"))
+       << " received=" << HumanBytes(metrics.Value("rpc_bytes_received"))
+       << " remote_fetches=" << metrics.Value("remote_shuffle_fetches")
+       << " restarts=" << restarts << " heartbeat_misses=" << hb_misses
+       << "\n";
   }
   if (!stages.empty()) {
     os << "stages:\n";
@@ -344,52 +331,17 @@ ProfiledRun::ProfiledRun(Context* ctx,
         an.is_shuffle = n->IsShuffle();
         an.was_materialized = an.is_shuffle && n->IsMaterialized();
         an.reused = visited.count(an.node_id) > 0;
-        an.actuals = ctx_->profile().Snapshot(an.node_id);
+        an.actuals = n->profile().Snapshot();
         nodes_.push_back(std::move(an));
+        profiles_.push_back(&n->profile());
         if (nodes_.back().reused) return;
         visited.insert(n->id());
         for (internal::NodeBase* p : n->Parents()) walk(p, depth + 1);
       };
   for (internal::NodeBase* r : roots) walk(r, 0);
   const auto stats = ctx_->metrics().StageStats();
-  if (!stats.empty()) {
-    any_stage_before_ = true;
-    max_stage_seq_before_ = stats.back().seq;
-  }
-  stages_before_ = ctx_->metrics().stages_run.load(std::memory_order_relaxed);
-  codec_raw_before_ =
-      ctx_->metrics().codec_bytes_raw.load(std::memory_order_relaxed);
-  codec_encoded_before_ =
-      ctx_->metrics().codec_bytes_encoded.load(std::memory_order_relaxed);
-  codec_time_before_ =
-      ctx_->metrics().codec_encode_time_us.load(std::memory_order_relaxed);
-  dedup_hits_before_ = ctx_->metrics().shuffle_block_dedup_hits.load(
-      std::memory_order_relaxed);
-  cache_hits_before_ =
-      ctx_->metrics().result_cache_hits.load(std::memory_order_relaxed);
-  cache_misses_before_ =
-      ctx_->metrics().result_cache_misses.load(std::memory_order_relaxed);
-  adm_queued_before_ =
-      ctx_->metrics().admission_queued.load(std::memory_order_relaxed);
-  adm_rejected_before_ =
-      ctx_->metrics().admission_rejected.load(std::memory_order_relaxed);
-  jobs_served_before_ =
-      ctx_->metrics().jobs_served.load(std::memory_order_relaxed);
-  wait_buckets_before_ = ctx_->metrics().job_queue_wait_us.BucketCounts();
-  run_buckets_before_ = ctx_->metrics().job_run_us.BucketCounts();
-  e2e_buckets_before_ = ctx_->metrics().job_e2e_us.BucketCounts();
-  rpc_roundtrips_before_ =
-      ctx_->metrics().rpc_roundtrips.load(std::memory_order_relaxed);
-  rpc_sent_before_ =
-      ctx_->metrics().rpc_bytes_sent.load(std::memory_order_relaxed);
-  rpc_received_before_ =
-      ctx_->metrics().rpc_bytes_received.load(std::memory_order_relaxed);
-  remote_fetches_before_ =
-      ctx_->metrics().remote_shuffle_fetches.load(std::memory_order_relaxed);
-  restarts_before_ =
-      ctx_->metrics().executor_restarts.load(std::memory_order_relaxed);
-  hb_misses_before_ =
-      ctx_->metrics().heartbeat_misses.load(std::memory_order_relaxed);
+  first_stage_seq_ = stats.empty() ? 0 : stats.back().seq + 1;
+  start_metrics_ = ctx_->metrics().registry().Snapshot();
   start_us_ = ctx_->NowMicros();
 }
 
@@ -397,92 +349,15 @@ AnalyzedPlan ProfiledRun::Finish() {
   AnalyzedPlan plan;
   plan.action = action_;
   plan.wall_us = ctx_->NowMicros() - start_us_;
-  plan.stages_run =
-      ctx_->metrics().stages_run.load(std::memory_order_relaxed) -
-      stages_before_;
-  plan.codec_bytes_raw =
-      ctx_->metrics().codec_bytes_raw.load(std::memory_order_relaxed) -
-      codec_raw_before_;
-  plan.codec_bytes_encoded =
-      ctx_->metrics().codec_bytes_encoded.load(std::memory_order_relaxed) -
-      codec_encoded_before_;
-  plan.codec_encode_time_us =
-      ctx_->metrics().codec_encode_time_us.load(std::memory_order_relaxed) -
-      codec_time_before_;
-  plan.shuffle_block_dedup_hits =
-      ctx_->metrics().shuffle_block_dedup_hits.load(
-          std::memory_order_relaxed) -
-      dedup_hits_before_;
-  plan.result_cache_hits =
-      ctx_->metrics().result_cache_hits.load(std::memory_order_relaxed) -
-      cache_hits_before_;
-  plan.result_cache_misses =
-      ctx_->metrics().result_cache_misses.load(std::memory_order_relaxed) -
-      cache_misses_before_;
-  plan.admission_queued =
-      ctx_->metrics().admission_queued.load(std::memory_order_relaxed) -
-      adm_queued_before_;
-  plan.admission_rejected =
-      ctx_->metrics().admission_rejected.load(std::memory_order_relaxed) -
-      adm_rejected_before_;
-  plan.jobs_served =
-      ctx_->metrics().jobs_served.load(std::memory_order_relaxed) -
-      jobs_served_before_;
-  if (plan.jobs_served > 0) {
-    // Percentiles over only this run's jobs: diff the cumulative bucket
-    // counts, then interpolate on the diff.
-    const auto diff = [](std::vector<uint64_t> after,
-                         const std::vector<uint64_t>& before) {
-      for (size_t i = 0; i < after.size() && i < before.size(); ++i) {
-        after[i] -= before[i];
-      }
-      return after;
-    };
-    const auto& bounds = EngineMetrics::LatencyBoundsUs();
-    const auto wait = diff(
-        ctx_->metrics().job_queue_wait_us.BucketCounts(), wait_buckets_before_);
-    const auto run =
-        diff(ctx_->metrics().job_run_us.BucketCounts(), run_buckets_before_);
-    const auto e2e =
-        diff(ctx_->metrics().job_e2e_us.BucketCounts(), e2e_buckets_before_);
-    plan.job_wait_p50_us = Histogram::PercentileFromCounts(bounds, wait, 0.50);
-    plan.job_wait_p95_us = Histogram::PercentileFromCounts(bounds, wait, 0.95);
-    plan.job_wait_p99_us = Histogram::PercentileFromCounts(bounds, wait, 0.99);
-    plan.job_run_p50_us = Histogram::PercentileFromCounts(bounds, run, 0.50);
-    plan.job_run_p95_us = Histogram::PercentileFromCounts(bounds, run, 0.95);
-    plan.job_run_p99_us = Histogram::PercentileFromCounts(bounds, run, 0.99);
-    plan.job_e2e_p50_us = Histogram::PercentileFromCounts(bounds, e2e, 0.50);
-    plan.job_e2e_p95_us = Histogram::PercentileFromCounts(bounds, e2e, 0.95);
-    plan.job_e2e_p99_us = Histogram::PercentileFromCounts(bounds, e2e, 0.99);
-  }
-  plan.rpc_roundtrips =
-      ctx_->metrics().rpc_roundtrips.load(std::memory_order_relaxed) -
-      rpc_roundtrips_before_;
-  plan.rpc_bytes_sent =
-      ctx_->metrics().rpc_bytes_sent.load(std::memory_order_relaxed) -
-      rpc_sent_before_;
-  plan.rpc_bytes_received =
-      ctx_->metrics().rpc_bytes_received.load(std::memory_order_relaxed) -
-      rpc_received_before_;
-  plan.remote_shuffle_fetches =
-      ctx_->metrics().remote_shuffle_fetches.load(std::memory_order_relaxed) -
-      remote_fetches_before_;
-  plan.executor_restarts =
-      ctx_->metrics().executor_restarts.load(std::memory_order_relaxed) -
-      restarts_before_;
-  plan.heartbeat_misses =
-      ctx_->metrics().heartbeat_misses.load(std::memory_order_relaxed) -
-      hb_misses_before_;
-  for (AnalyzedNode& an : nodes_) {
-    const NodeProfileSnapshot after = ctx_->profile().Snapshot(an.node_id);
-    an.actuals = after - an.actuals;
+  plan.metrics = ctx_->metrics().registry().Snapshot() - start_metrics_;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    AnalyzedNode& an = nodes_[i];
+    an.actuals = profiles_[i]->Snapshot() - an.actuals;
     if (!an.reused) plan.totals += an.actuals;
   }
   plan.nodes = std::move(nodes_);
   for (const StageStat& s : ctx_->metrics().StageStats()) {
-    if (!any_stage_before_ || s.seq > max_stage_seq_before_) {
-      plan.stages.push_back(s);
-    }
+    if (s.seq >= first_stage_seq_) plan.stages.push_back(s);
   }
   ctx_->set_profiling_enabled(prev_enabled_);
   return plan;

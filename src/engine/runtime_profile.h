@@ -6,9 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -32,10 +30,12 @@ inline constexpr int kProfileChunkModes = 3;
 /// plus the open overflow bucket.
 inline constexpr int kProfileDensityBuckets = 9;
 
+struct NodeProfileSnapshot;
+
 /// Executed actuals for one lineage node, accumulated by worker threads
-/// through cheap relaxed atomics. One NodeProfile per node id lives in
-/// the context's RuntimeProfile for the node's lifetime; per-query views
-/// are snapshot diffs (see ProfiledRun).
+/// through cheap relaxed atomics. Each node owns its NodeProfile, so the
+/// actuals live exactly as long as the node they describe; per-query
+/// views are snapshot diffs (see ProfiledRun).
 struct NodeProfile {
   std::atomic<uint64_t> invocations{0};  // GetPartition calls
   std::atomic<uint64_t> cache_hits{0};   // served from the block store
@@ -50,6 +50,9 @@ struct NodeProfile {
   std::array<std::atomic<uint64_t>, kProfileChunkModes * kProfileChunkModes>
       mode_transitions{};  // [from * 3 + to]
   std::array<std::atomic<uint64_t>, kProfileDensityBuckets> density_hist{};
+
+  /// Current values.
+  NodeProfileSnapshot Snapshot() const;
 };
 
 /// Plain-value copy of a NodeProfile, diffable for per-query scoping.
@@ -73,7 +76,8 @@ struct NodeProfileSnapshot {
   uint64_t TotalDensityObservations() const;
 };
 
-/// Per-context profile store: one NodeProfile per lineage node id, plus a
+/// Per-context profiling state: the array-layer hooks that charge chunk
+/// and mask structure to the running operator's NodeProfile, plus a
 /// bounded ring of counter-track samples (cache pressure, shuffle volume,
 /// shuffle concurrency over time) merged into DumpTrace. Population is
 /// gated by Context::set_profiling_enabled — when off, the thread-local
@@ -85,16 +89,8 @@ class RuntimeProfile {
   RuntimeProfile(const RuntimeProfile&) = delete;
   RuntimeProfile& operator=(const RuntimeProfile&) = delete;
 
-  /// The profile slot for `node_id`, created on first use. Lookup of an
-  /// existing slot (the per-partition hot path) takes only a shared lock;
-  /// first use upgrades to an exclusive lock to insert.
-  NodeProfile* GetOrCreate(uint64_t node_id) EXCLUDES(mu_);
-
-  /// Current values for `node_id`; zeros when the node never executed.
-  NodeProfileSnapshot Snapshot(uint64_t node_id) const EXCLUDES(mu_);
-
-  /// Drops every node profile and counter sample (metrics are untouched).
-  void Clear() EXCLUDES(mu_, samples_mu_);
+  /// Drops every counter sample (metrics and node actuals are untouched).
+  void Clear() EXCLUDES(samples_mu_);
 
   // Hook bodies, invoked via the prof:: free functions below from the
   // array layer. `np` may be null (instrumented code running outside an
@@ -125,14 +121,6 @@ class RuntimeProfile {
   static constexpr size_t kMaxCounterSamples = 8192;
 
   EngineMetrics* metrics_;
-
-  // Reader/writer: worker threads resolving an existing node's profile
-  // share the lock; inserts (first touch of a node) and Clear take it
-  // exclusively. Never held together with samples_mu_ — Clear acquires
-  // them strictly in sequence.
-  mutable SharedMutex mu_{LockRank::kProfile, "RuntimeProfile::mu_"};
-  std::unordered_map<uint64_t, std::unique_ptr<NodeProfile>> nodes_
-      GUARDED_BY(mu_);
 
   mutable Mutex samples_mu_{LockRank::kProfileSamples,
                             "RuntimeProfile::samples_mu_"};
@@ -184,10 +172,10 @@ inline RuntimeProfile* ThreadProfile() { return detail::tl_profile; }
 /// the consuming scope's rows_in — the Spark SQL UI accounting.
 class OperatorScope {
  public:
-  explicit OperatorScope(uint64_t node_id) {
+  explicit OperatorScope(NodeProfile* np) {
     profile_ = detail::tl_profile;
     if (profile_ == nullptr) return;
-    np_ = profile_->GetOrCreate(node_id);
+    np_ = np;
     parent_ = detail::tl_scope;
     detail::tl_scope = this;
     start_us_ = detail::MonoMicros();
@@ -289,41 +277,14 @@ struct AnalyzedNode {
 struct AnalyzedPlan {
   std::string action;
   uint64_t wall_us = 0;
-  uint64_t stages_run = 0;
-  // Chunk-frame codec activity during this run (snapshot diffs of the
-  // global counters): record-format vs encoded bytes, encode time, and
-  // shuffle block commits deduplicated by content hash.
-  uint64_t codec_bytes_raw = 0;
-  uint64_t codec_bytes_encoded = 0;
-  uint64_t codec_encode_time_us = 0;
-  uint64_t shuffle_block_dedup_hits = 0;
-  // Serving-layer activity during this run (snapshot diffs): result-cache
-  // traffic and admission decisions made by an attached JobServer. All
-  // zero when nothing was served while the run was open.
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
-  uint64_t admission_queued = 0;
-  uint64_t admission_rejected = 0;
-  // Served-job latency percentiles (us) over jobs finished during this
-  // run, estimated from the serving histograms' bucket diffs (wait =
-  // submit → dispatch, run = dispatch → done, e2e = submit → done). All
-  // zero when no JobServer completed a job while the run was open.
-  uint64_t jobs_served = 0;
-  double job_wait_p50_us = 0, job_wait_p95_us = 0, job_wait_p99_us = 0;
-  double job_run_p50_us = 0, job_run_p95_us = 0, job_run_p99_us = 0;
-  double job_e2e_p50_us = 0, job_e2e_p95_us = 0, job_e2e_p99_us = 0;
-  // Fleet/RPC activity during this run (snapshot diffs): RPC roundtrips
-  // and bytes on the wire, remote shuffle fetches, daemon restarts, and
-  // heartbeat misses. All zero in LOCAL mode.
-  uint64_t rpc_roundtrips = 0;
-  uint64_t rpc_bytes_sent = 0;
-  uint64_t rpc_bytes_received = 0;
-  uint64_t remote_shuffle_fetches = 0;
-  uint64_t executor_restarts = 0;
-  uint64_t heartbeat_misses = 0;
   NodeProfileSnapshot totals;      // sum over non-reused nodes
   std::vector<AnalyzedNode> nodes;  // preorder, roots first
   std::vector<StageStat> stages;    // stages executed during the run
+  // Every registered metric's activity during the run (registry snapshot
+  // diff): stages_run, codec, shuffle, serving and fleet counters, and
+  // the serving latency histograms. Look up with metrics.Value(name) and
+  // metrics.Percentile(name, q).
+  MetricSnapshot metrics;
 
   std::string ToString() const;
 
@@ -331,10 +292,11 @@ struct AnalyzedPlan {
   const AnalyzedNode* Find(const std::string& name_substr) const;
 };
 
-/// Measurement session behind ExplainAnalyze: captures the lineage tree
-/// and per-node counter snapshots before the action executes, then diffs
-/// after it — so an ExplainAnalyze on a shared/cached lineage reports
-/// only this query's execution. Forces profiling on for the duration.
+/// Measurement session behind ExplainAnalyze: captures the lineage tree,
+/// each node's actuals and a metric registry snapshot before the action
+/// executes, then diffs after it — so an ExplainAnalyze on a
+/// shared/cached lineage reports only this query's execution. Forces
+/// profiling on for the duration.
 class ProfiledRun {
  public:
   ProfiledRun(Context* ctx, const std::vector<internal::NodeBase*>& roots,
@@ -347,30 +309,12 @@ class ProfiledRun {
  private:
   Context* ctx_;
   std::string action_;
-  std::vector<AnalyzedNode> nodes_;  // actuals hold the BEFORE snapshots
+  std::vector<AnalyzedNode> nodes_;  // actuals hold the starting values
+  std::vector<const NodeProfile*> profiles_;  // parallel to nodes_
   bool prev_enabled_ = true;
   uint64_t start_us_ = 0;
-  uint64_t stages_before_ = 0;
-  uint64_t max_stage_seq_before_ = 0;
-  bool any_stage_before_ = false;
-  uint64_t codec_raw_before_ = 0;
-  uint64_t codec_encoded_before_ = 0;
-  uint64_t codec_time_before_ = 0;
-  uint64_t dedup_hits_before_ = 0;
-  uint64_t cache_hits_before_ = 0;
-  uint64_t cache_misses_before_ = 0;
-  uint64_t adm_queued_before_ = 0;
-  uint64_t adm_rejected_before_ = 0;
-  uint64_t jobs_served_before_ = 0;
-  std::vector<uint64_t> wait_buckets_before_;
-  std::vector<uint64_t> run_buckets_before_;
-  std::vector<uint64_t> e2e_buckets_before_;
-  uint64_t rpc_roundtrips_before_ = 0;
-  uint64_t rpc_sent_before_ = 0;
-  uint64_t rpc_received_before_ = 0;
-  uint64_t remote_fetches_before_ = 0;
-  uint64_t restarts_before_ = 0;
-  uint64_t hb_misses_before_ = 0;
+  uint64_t first_stage_seq_ = 0;  // stages from this seq on ran in the run
+  MetricSnapshot start_metrics_;
 };
 
 }  // namespace spangle

@@ -26,12 +26,9 @@ StorageOptions DaemonStorage(uint64_t budget) {
 // codec writes the frame bytes verbatim; readback maps the file, so a
 // spilled-and-refetched block costs no owned memory (BlockManager
 // accounts the mapping as unowned bytes).
-uint64_t SpillFrameBuffer(const void* data, const std::string& path) {
+Result<uint64_t> SpillFrameBuffer(const void* data, const std::string& path) {
   const auto* buf = static_cast<const codec::FrameBuffer*>(data);
-  auto written = codec::WriteWholeFile(buf->data(), buf->size(), path);
-  SPANGLE_CHECK(written.ok())
-      << "daemon spill write failed: " << written.status().ToString();
-  return *written;
+  return codec::WriteWholeFile(buf->data(), buf->size(), path);
 }
 
 BlockManager::Loaded LoadFrameBuffer(const std::string& path) {

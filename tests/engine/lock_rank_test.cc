@@ -12,8 +12,8 @@
 //   * correctly ordered nesting (strictly decreasing rank) passes;
 //   * a deliberate inversion dies with the "lock-rank violation"
 //     diagnostic naming both mutexes and their acquisition sites;
-//   * CondVar waits, TryLock, RAII holders, and shared (reader) locks
-//     all feed the same held-lock bookkeeping;
+//   * CondVar waits, TryLock, and RAII holders all feed the same
+//     held-lock bookkeeping;
 //   * the whole detector is compiled out in release builds
 //     (SPANGLE_LOCK_RANK_CHECKS=0): Mutex shrinks to a bare std::mutex
 //     and the seeded inversion goes (intentionally) undetected.
@@ -68,15 +68,6 @@ TEST(LockRankTest, TryLockParticipates) {
   mu.AssertHeld();
   mu.Unlock();
   EXPECT_EQ(HeldLockCountForTest(), 0);
-}
-
-TEST(LockRankTest, SharedReaderLockParticipates) {
-  SharedMutex sm(LockRank::kProfile, "shared");
-  Mutex inner(LockRank::kProfileSamples, "inner");
-  ReaderMutexLock reader(&sm);
-  EXPECT_EQ(HeldLockCountForTest(), 1);
-  MutexLock lock(&inner);  // lower rank under a reader lock: fine
-  EXPECT_EQ(HeldLockCountForTest(), 2);
 }
 
 TEST(LockRankTest, CondVarWaitKeepsBookkeepingConsistent) {
@@ -149,19 +140,6 @@ TEST(LockRankDeathTest, AssertHeldDiesWhenNotHeld) {
         mu.AssertHeld();
       },
       "lock-rank violation: AssertHeld");
-}
-
-TEST(LockRankDeathTest, ReaderInversionDies) {
-  // Readers can deadlock writers too, so shared acquisitions obey the
-  // same hierarchy.
-  EXPECT_DEATH(
-      {
-        Mutex lower(LockRank::kMetrics, "metrics_like");
-        SharedMutex higher(LockRank::kProfile, "profile_like");
-        MutexLock l1(&lower);
-        ReaderMutexLock l2(&higher);
-      },
-      "lock-rank violation");
 }
 
 TEST(LockRankTest, ServingHierarchyNestsInOrder) {

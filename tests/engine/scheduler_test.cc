@@ -241,9 +241,7 @@ TEST(SchedulerStatsTest, SkewAndStragglersDetected) {
   EXPECT_GE(s.max_task_us, 80000u);
   EXPECT_GT(s.skew_ratio, 1.5);
   EXPECT_EQ(s.num_stragglers, 1);
-  int hist_total = 0;
-  for (int c : s.task_hist) hist_total += c;
-  EXPECT_EQ(hist_total, 4);
+  EXPECT_EQ(ctx.metrics().task_duration_us.count(), 4u);
   EXPECT_NE(s.ToString().find("stragglers=1"), std::string::npos);
 }
 

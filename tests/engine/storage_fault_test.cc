@@ -1,10 +1,17 @@
 // End-to-end storage stress: PageRank with cached state under a tight
 // memory budget loses an executor mid-run; the final ranks must be
 // bit-identical to an undisturbed run, with lineage recomputation doing
-// real work along the way.
+// real work along the way. A spill directory that cannot be written
+// fails spills, never the process, and every answer stays exact.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -87,6 +94,79 @@ TEST(StorageFaultTest, RepeatedFailuresStillConverge) {
   auto faulted = PageRank(&faulted_ctx, n, edges, faulted_options);
   ASSERT_TRUE(faulted.ok());
   EXPECT_EQ(faulted.ValueOrDie().ranks, baseline.ValueOrDie().ranks);
+}
+
+// Caches at both disk-backed levels plus a shuffle, all under a budget
+// far below one partition, so nearly every put evicts and every eviction
+// and DISK_ONLY put tries to spill. Runs each query twice: the second
+// round reads whatever the first left behind. Answers must be exact.
+void ExpectExactAnswersUnderFailingSpills(Context* ctx) {
+  std::vector<int> data(4000);
+  for (int i = 0; i < 4000; ++i) data[i] = i;
+  std::vector<int> tripled, decremented;
+  for (int x : data) {
+    tripled.push_back(x * 3);
+    decremented.push_back(x - 1);
+  }
+  std::vector<std::pair<int, int>> counts;
+  for (int k = 0; k < 16; ++k) counts.emplace_back(k, 250);
+
+  auto source = ctx->Parallelize(data, 8);
+  auto both = source.Map([](const int& x) { return x * 3; });
+  both.Cache(StorageLevel::kMemoryAndDisk);
+  auto disk = source.Map([](const int& x) { return x - 1; });
+  disk.Cache(StorageLevel::kDiskOnly);
+  auto keyed = PairRdd<int, int>(source.Map([](const int& x) {
+                 return std::pair<int, int>(x % 16, 1);
+               })).ReduceByKey([](const int& a, const int& b) { return a + b; });
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(both.Collect(), tripled) << "round " << round;
+    EXPECT_EQ(disk.Collect(), decremented) << "round " << round;
+    auto got = keyed.AsRdd().Collect();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, counts) << "round " << round;
+  }
+  EXPECT_GT(ctx->metrics().evictions.load(), 0u);
+  EXPECT_GT(ctx->metrics().recomputed_partitions.load(), 0u)
+      << "evicted blocks that could not spill must recompute from lineage";
+  EXPECT_EQ(ctx->metrics().stage_reruns.load(), 0u)
+      << "shuffle output that could not spill must stay resident";
+}
+
+TEST(SpillFailureTest, UncreatableSpillDirFailsNoProcess) {
+  // A directory under a regular file fails with ENOTDIR, even for root.
+  const std::string blocker = ::testing::TempDir() + "/spangle_spill_blocker_" +
+                              std::to_string(::getpid());
+  std::ofstream(blocker) << "not a directory";
+  StorageOptions storage;
+  storage.memory_budget_bytes = 1024;
+  storage.spill_dir = blocker + "/spill";
+  {
+    Context ctx(2, 0, 0, storage);
+    ExpectExactAnswersUnderFailingSpills(&ctx);
+    EXPECT_EQ(ctx.metrics().spilled_bytes.load(), 0u);
+  }
+  std::remove(blocker.c_str());
+}
+
+TEST(SpillFailureTest, SpillDirRemovedMidRunFailsLaterSpills) {
+  StorageOptions storage;
+  storage.memory_budget_bytes = 1024;
+  storage.spill_dir = ::testing::TempDir() + "/spangle_spill_removed_" +
+                      std::to_string(::getpid());
+  Context ctx(2, 0, 0, storage);
+  std::vector<int> data(4000, 5);
+  auto first = ctx.Parallelize(data, 8).Map([](const int& x) { return x + 1; });
+  first.Cache(StorageLevel::kMemoryAndDisk);
+  EXPECT_EQ(first.Collect(), std::vector<int>(4000, 6));
+  const uint64_t spilled = ctx.metrics().spilled_bytes.load();
+  ASSERT_GT(spilled, 0u) << "the first spills must have succeeded";
+
+  // The BlockManager created the directory once and does not expect it
+  // to vanish: every later spill write fails.
+  std::filesystem::remove_all(storage.spill_dir);
+  ExpectExactAnswersUnderFailingSpills(&ctx);
+  EXPECT_EQ(ctx.metrics().spilled_bytes.load(), spilled);
 }
 
 }  // namespace

@@ -197,5 +197,26 @@ TEST(ExplainAnalyzeTest, ConvertModeReportsTransitions) {
   EXPECT_EQ(ctx.metrics().mode_transitions.load(), expected_conversions);
 }
 
+TEST(ExplainAnalyzeTest, RunWindowReportsAnyRegisteredMetric) {
+  // shuffle_bytes never had a field of its own on the plan: the run
+  // window is a diff of the whole metric registry, so it reports every
+  // registered metric, scoped to this run.
+  Context ctx(2);
+  std::vector<std::pair<int, int>> recs;
+  for (int i = 0; i < 200; ++i) recs.emplace_back(i % 10, i);
+  const auto sum = [](int a, int b) { return a + b; };
+  ToPair<int, int>(ctx.Parallelize(recs, 4)).ReduceByKey(sum).AsRdd().Count();
+  const uint64_t earlier = ctx.metrics().shuffle_bytes.load();
+  ASSERT_GT(earlier, 0u);
+
+  auto reduced = ToPair<int, int>(ctx.Parallelize(recs, 4)).ReduceByKey(sum);
+  AnalyzedPlan plan = reduced.ExplainAnalyzePlan("collect");
+  uint64_t stage_bytes = 0;
+  for (const StageStat& s : plan.stages) stage_bytes += s.shuffle_bytes;
+  EXPECT_GT(stage_bytes, 0u);
+  EXPECT_EQ(plan.metrics.Value("shuffle_bytes"), stage_bytes);
+  EXPECT_EQ(ctx.metrics().shuffle_bytes.load(), earlier + stage_bytes);
+}
+
 }  // namespace
 }  // namespace spangle

@@ -37,7 +37,7 @@ TEST(RuntimeProfileTest, ExplainAnalyzeRowCountsMatchCollectGroundTruth) {
   EXPECT_EQ(filter->actuals.invocations, 4u);
   EXPECT_GT(filter->actuals.bytes_out, 0u);
   EXPECT_EQ(plan.totals.rows_out, 250u);  // 100 + 100 + 50
-  EXPECT_EQ(plan.stages_run, 1u);
+  EXPECT_EQ(plan.metrics.Value("stages_run"), 1u);
   ASSERT_EQ(plan.stages.size(), 1u);
   EXPECT_EQ(plan.stages[0].name, "collect");
 
@@ -58,7 +58,7 @@ TEST(RuntimeProfileTest, SnapshotDiffScopesToOneRun) {
   ASSERT_NE(source, nullptr);
   EXPECT_EQ(source->actuals.rows_out, 40u);
   EXPECT_EQ(source->actuals.invocations, 4u);
-  EXPECT_EQ(plan.stages_run, 1u);
+  EXPECT_EQ(plan.metrics.Value("stages_run"), 1u);
   ASSERT_EQ(plan.stages.size(), 1u);
 }
 
@@ -96,7 +96,7 @@ TEST(RuntimeProfileTest, ShuffleQueryCountsShuffleStages) {
   EXPECT_TRUE(shuffle->is_shuffle);
   EXPECT_EQ(group->actuals.rows_out, 6u);  // one record per key
   EXPECT_EQ(group->actuals.rows_in, 60u);
-  EXPECT_GE(plan.stages_run, 2u);          // shuffle stage, then collect
+  EXPECT_GE(plan.metrics.Value("stages_run"), 2u);  // shuffle, then collect
 }
 
 TEST(RuntimeProfileTest, DisablingProfilingStopsAccumulation) {
@@ -104,10 +104,10 @@ TEST(RuntimeProfileTest, DisablingProfilingStopsAccumulation) {
   auto rdd = ctx.Parallelize(std::vector<int>(20, 1), 2);
   ctx.set_profiling_enabled(false);
   rdd.Count();
-  EXPECT_EQ(ctx.profile().Snapshot(rdd.node()->id()).invocations, 0u);
+  EXPECT_EQ(rdd.node()->profile().Snapshot().invocations, 0u);
   ctx.set_profiling_enabled(true);
   rdd.Count();
-  EXPECT_EQ(ctx.profile().Snapshot(rdd.node()->id()).invocations, 2u);
+  EXPECT_EQ(rdd.node()->profile().Snapshot().invocations, 2u);
 }
 
 TEST(RuntimeProfileTest, ExplainAnalyzeForcesProfilingOnAndRestores) {
@@ -136,8 +136,14 @@ TEST(RuntimeProfileTest, OperatorScopeIsInertWithoutThreadProfile) {
   // Driver-side code paths construct scopes with no bound profile; they
   // must not touch any store.
   ASSERT_EQ(prof::ThreadProfile(), nullptr);
-  prof::OperatorScope scope(12345);
-  EXPECT_FALSE(scope.active());
+  NodeProfile np;
+  {
+    prof::OperatorScope scope(&np);
+    EXPECT_FALSE(scope.active());
+    scope.FinishComputed(10, 100);
+  }
+  EXPECT_EQ(np.Snapshot().invocations, 0u);
+  EXPECT_EQ(np.Snapshot().rows_out, 0u);
   prof::RecordChunkBuilt(0, 100, 50);      // no-op, must not crash
   prof::RecordModeTransition(0, 1);        // no-op
   prof::RecordMaskDensity(10, 100);        // no-op
@@ -147,13 +153,15 @@ TEST(RuntimeProfileTest, SelfTimeExcludesChildTime) {
   EngineMetrics metrics;
   RuntimeProfile profile(&metrics);
   prof::ScopedThreadProfile bind(&profile);
+  NodeProfile outer_np;
+  NodeProfile inner_np;
   {
-    prof::OperatorScope outer(1);
-    { prof::OperatorScope inner(2); }
+    prof::OperatorScope outer(&outer_np);
+    { prof::OperatorScope inner(&inner_np); }
     outer.FinishComputed(10, 100);
   }
-  const auto outer_snap = profile.Snapshot(1);
-  const auto inner_snap = profile.Snapshot(2);
+  const auto outer_snap = outer_np.Snapshot();
+  const auto inner_snap = inner_np.Snapshot();
   EXPECT_EQ(outer_snap.invocations, 1u);
   EXPECT_EQ(inner_snap.invocations, 1u);
   EXPECT_EQ(outer_snap.rows_out, 10u);

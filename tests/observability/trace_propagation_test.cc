@@ -363,7 +363,7 @@ TEST(FleetExportTest, ExplainAnalyzeReportsFleetLine) {
                  return std::pair<int, int>(v % 7, 1);
                })).ReduceByKey([](const int& a, const int& b) { return a + b; });
   const AnalyzedPlan plan = pairs.ExplainAnalyzePlan();
-  EXPECT_GT(plan.rpc_roundtrips, 0u);
+  EXPECT_GT(plan.metrics.Value("rpc_roundtrips"), 0u);
   EXPECT_NE(plan.ToString().find("fleet: rpc_roundtrips="),
             std::string::npos);
 }

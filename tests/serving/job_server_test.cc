@@ -391,9 +391,9 @@ TEST(JobServerTest, ServingCountersVisibleInExplainAnalyzeAndExports) {
   server.WaitAll();
 
   const AnalyzedPlan plan_report = window.Finish();
-  EXPECT_EQ(plan_report.result_cache_hits, 1u);
-  EXPECT_GE(plan_report.result_cache_misses, 1u);
-  EXPECT_GE(plan_report.admission_queued, 1u);
+  EXPECT_EQ(plan_report.metrics.Value("result_cache_hits"), 1u);
+  EXPECT_GE(plan_report.metrics.Value("result_cache_misses"), 1u);
+  EXPECT_GE(plan_report.metrics.Value("admission_queued"), 1u);
   EXPECT_NE(plan_report.ToString().find("serving:"), std::string::npos);
 
   const std::string json = ctx.MetricsJson();
