@@ -33,8 +33,12 @@ Chunk Chunk::MakeDense(uint32_t num_cells) {
 Chunk Chunk::FromCells(uint32_t num_cells,
                        std::vector<std::pair<uint32_t, double>> cells,
                        ChunkMode mode) {
-  std::sort(cells.begin(), cells.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto by_offset = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(cells.begin(), cells.end(), by_offset)) {
+    std::sort(cells.begin(), cells.end(), by_offset);
+  }
   Chunk c;
   c.mode_ = mode;
   c.num_cells_ = num_cells;
@@ -62,14 +66,14 @@ Chunk Chunk::FromCells(uint32_t num_cells,
       break;
     }
     case ChunkMode::kSuperSparse: {
-      Bitmask flat(num_cells);
       c.payload_.reserve(cells.size());
       for (const auto& [off, v] : cells) {
         SPANGLE_DCHECK(off < num_cells);
         c.payload_.push_back(v);
-        flat.Set(off);
       }
-      c.hmask_ = HierarchicalBitmask::FromBitmask(flat);
+      c.hmask_ = HierarchicalBitmask::FromSortedBits(
+          num_cells, cells.size(),
+          [&cells](size_t k) { return cells[k].first; });
       break;
     }
   }

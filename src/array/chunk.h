@@ -40,7 +40,9 @@ class Chunk {
   static Chunk MakeDense(uint32_t num_cells);
 
   /// Builds a chunk in `mode` from (offset, value) cells. Offsets must be
-  /// unique; order does not matter.
+  /// unique; order does not matter, but offset-sorted input skips the sort.
+  /// Super-sparse chunks build their two-level mask straight from the
+  /// sorted offsets, never allocating a num_cells-bit flat mask.
   static Chunk FromCells(uint32_t num_cells,
                          std::vector<std::pair<uint32_t, double>> cells,
                          ChunkMode mode);

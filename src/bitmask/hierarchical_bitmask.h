@@ -1,6 +1,7 @@
 #ifndef SPANGLE_BITMASK_HIERARCHICAL_BITMASK_H_
 #define SPANGLE_BITMASK_HIERARCHICAL_BITMASK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +20,37 @@ class HierarchicalBitmask {
 
   /// Builds the two-level representation from a flat mask.
   static HierarchicalBitmask FromBitmask(const Bitmask& flat);
+
+  /// Builds the structure FromBitmask would produce for the mask whose set
+  /// bits are bit_at(0) < bit_at(1) < ... < bit_at(n - 1), all below
+  /// `num_bits`, without materializing the flat mask: the cost follows n,
+  /// not num_bits.
+  template <typename BitAt>
+  static HierarchicalBitmask FromSortedBits(size_t num_bits, size_t n,
+                                            BitAt&& bit_at) {
+    constexpr size_t kBits = Bitmask::kBitsPerWord;
+    HierarchicalBitmask out;
+    out.num_bits_ = num_bits;
+    const size_t words = (num_bits + kBits - 1) / kBits;
+    out.upper_ = Bitmask(words);
+    out.lower_.reserve(std::min(n, words));
+    out.lower_prefix_.reserve(std::min(n, words));
+    uint32_t running = 0;
+    size_t k = 0;
+    while (k < n) {
+      const size_t w = static_cast<size_t>(bit_at(k)) / kBits;
+      uint64_t word = 0;
+      for (; k < n && static_cast<size_t>(bit_at(k)) / kBits == w; ++k) {
+        word |= uint64_t{1} << (static_cast<size_t>(bit_at(k)) % kBits);
+      }
+      out.upper_.Set(w);
+      out.lower_.push_back(word);
+      out.lower_prefix_.push_back(running);
+      running += static_cast<uint32_t>(CountWord(word));
+    }
+    out.upper_.BuildMilestones();
+    return out;
+  }
 
   /// Expands back into a flat mask.
   Bitmask ToBitmask() const;

@@ -9,7 +9,6 @@
 #include "codec/columnar.h"
 #include "codec/frame_buffer.h"
 #include "codec/mmap_file.h"
-#include "common/logging.h"
 #include "common/result.h"
 
 namespace spangle {
@@ -31,31 +30,23 @@ inline Result<FrameBuffer> ReadFrameFile(const std::string& path) {
 }
 
 /// Writes one partition to `path` as a chunk frame; returns bytes
-/// written. CHECK-fails on I/O errors (parity with the old spill
-/// contract: the engine owns its spill dir, failure there is fatal).
+/// written, or the I/O error.
 template <typename T>
-uint64_t WritePartitionFile(const std::vector<T>& records,
-                            const std::string& path) {
+Result<uint64_t> WritePartitionFile(const std::vector<T>& records,
+                                    const std::string& path) {
   const EncodedFrame frame = EncodePartitionFrame(records);
-  auto written = WriteWholeFile(frame.bytes, path);
-  SPANGLE_CHECK(written.ok()) << "spill write failed: "
-                              << written.status().ToString();
-  return *written;
+  return WriteWholeFile(frame.bytes, path);
 }
 
 /// Reads a partition back from a frame file written by WritePartitionFile
-/// (or any stored frame — spill and wire bytes are interchangeable).
-/// CHECK-fails on a missing/corrupt file: spill files are engine-written
-/// local state, so damage there is a bug, not input error.
+/// (or any stored frame — spill and wire bytes are interchangeable). A
+/// missing, unreadable or corrupt file is an error, not a crash: the
+/// block store drops such a block as lost and lineage rebuilds it.
 template <typename T>
-std::vector<T> ReadPartitionFile(const std::string& path) {
+Result<std::vector<T>> ReadPartitionFile(const std::string& path) {
   auto buf = ReadFrameFile(path);
-  SPANGLE_CHECK(buf.ok()) << "cannot read spill file " << path << ": "
-                          << buf.status().ToString();
-  auto records = DecodePartitionFrame<T>(buf->data(), buf->size());
-  SPANGLE_CHECK(records.ok()) << "corrupt spill file " << path << ": "
-                              << records.status().ToString();
-  return *std::move(records);
+  SPANGLE_RETURN_NOT_OK(buf.status());
+  return DecodePartitionFrame<T>(buf->data(), buf->size());
 }
 
 }  // namespace codec

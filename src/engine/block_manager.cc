@@ -266,8 +266,17 @@ BlockManager::GetResult BlockManager::Get(const BlockId& id) {
     return {b->data, false};
   }
   if (b->on_disk && b->load != nullptr) {
-    Loaded loaded = b->load(b->path);
+    Result<Loaded> read = b->load(b->path);
     metrics_->disk_reads.fetch_add(1);
+    if (!read.ok()) {
+      SPANGLE_LOG(Warning) << "spill file of block (" << id.node << ", "
+                           << id.partition << ") is unreadable, dropping "
+                           << "it as lost: " << read.status().ToString();
+      const bool recomputable = b->recomputable;
+      DropBlockLocked(id, *b);  // erases a shuffle output's entry
+      return {nullptr, recomputable};
+    }
+    Loaded loaded = *std::move(read);
     if (b->level != StorageLevel::kDiskOnly) {
       // Re-admit: only the owned portion of the payload competes for
       // budget (mmap-backed bytes stay with the file).

@@ -74,8 +74,9 @@ class BlockManager {
     Loaded(DataPtr d, uint64_t mapped)
         : data(std::move(d)), mapped_bytes(mapped) {}
   };
-  /// Reads a block payload back from `path`.
-  using LoadFn = std::function<Loaded(const std::string&)>;
+  /// Reads a block payload back from `path`; an error (file gone or
+  /// corrupt) makes Get drop the block as lost.
+  using LoadFn = std::function<Result<Loaded>(const std::string&)>;
 
   struct GetResult {
     DataPtr data;           // null when the block is not available
@@ -120,7 +121,9 @@ class BlockManager {
 
   /// Fetches a block: from memory (LRU touch), or from its spill file
   /// (counted as a disk read; re-admitted to memory unless DISK_ONLY).
-  /// data == null means the caller must recompute from lineage.
+  /// A spill file that cannot be read back drops the block as lost, as if
+  /// its executor died. data == null means the caller must recompute from
+  /// lineage (a lost shuffle output re-runs its shuffle).
   // spangle-lint: may-block — a spilled block is re-read from disk via
   // the (statically unresolvable) LoadFn callback.
   GetResult Get(const BlockId& id) EXCLUDES(mu_);

@@ -458,12 +458,15 @@ class Node : public NodeBase {
 
   static BlockManager::LoadFn MakeLoadFn() {
     if constexpr (codec::kSpillable<T>) {
-      return [](const std::string& path) -> BlockManager::DataPtr {
+      return [](const std::string& path)
+                 -> Result<BlockManager::Loaded> {
         // Decodes straight out of a transient mmap of the frame file
         // (ReadPartitionFile) into owned vectors, so the re-admitted
         // payload has no mapped bytes.
-        return std::make_shared<const std::vector<T>>(
-            codec::ReadPartitionFile<T>(path));
+        auto records = codec::ReadPartitionFile<T>(path);
+        SPANGLE_RETURN_NOT_OK(records.status());
+        return BlockManager::Loaded(
+            std::make_shared<const std::vector<T>>(*std::move(records)));
       };
     } else {
       return nullptr;

@@ -45,34 +45,61 @@ Chunk TileFromSortedCells(uint32_t cells_per_tile,
   return Chunk::FromCells(cells_per_tile, std::move(cells), mode);
 }
 
-}  // namespace
+using Cells = std::vector<std::pair<uint32_t, double>>;
 
-std::vector<std::pair<uint32_t, double>> MultiplyTiles(const Chunk& a,
-                                                       const Chunk& b,
-                                                       uint32_t bs) {
-  // Index the right tile by row so each left cell (r, j) streams through
-  // row j of b. Invalid (zero) cells never appear: the bitmask iteration
-  // is the "skip the pair when either operand is zero" rule of Fig. 5.
+/// True when a tile pair has so few candidate products that a bs*bs
+/// accumulator would cost more than the products themselves.
+bool FewProducts(uint64_t a_valid, uint64_t b_valid, uint32_t bs) {
+  return a_valid * b_valid * 8 < static_cast<uint64_t>(bs) * bs;
+}
+
+/// Sorted-COO kernel for ultra-sparse pairs: both operands are
+/// offset-sorted cell lists, so row j of `b` is the contiguous run of
+/// offsets in [j*bs, (j+1)*bs), found by binary search. The products are
+/// stable-sorted by output offset and each run is summed from 0.0 in
+/// generation order, the order (and so the rounding) of the dense-buffer
+/// kernel's accumulation.
+Cells SparseProduct(const Cells& a, const Cells& b, uint32_t bs) {
+  const auto offset_less = [](const std::pair<uint32_t, double>& cell,
+                              uint64_t off) { return cell.first < off; };
+  Cells products;
+  for (const auto& [off, av] : a) {
+    const uint64_t row_begin = static_cast<uint64_t>(off % bs) * bs;
+    const uint32_t base = (off / bs) * bs;
+    auto it = std::lower_bound(b.begin(), b.end(), row_begin, offset_less);
+    for (; it != b.end() && it->first < row_begin + bs; ++it) {
+      products.emplace_back(
+          base + static_cast<uint32_t>(it->first - row_begin),
+          av * it->second);
+    }
+  }
+  const auto by_offset = [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  };
+  if (!std::is_sorted(products.begin(), products.end(), by_offset)) {
+    std::stable_sort(products.begin(), products.end(), by_offset);
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < products.size();) {
+    const uint32_t off = products[i].first;
+    double sum = 0.0;
+    for (; i < products.size() && products[i].first == off; ++i) {
+      sum += products[i].second;
+    }
+    products[kept++] = {off, sum};
+  }
+  products.resize(kept);
+  return products;
+}
+
+/// Dense-buffer kernel: index `b` by row so each left cell (r, j) streams
+/// through row j of b, accumulating into a bs*bs buffer with a touched
+/// bitmask.
+Cells DenseProduct(const Chunk& a, const Chunk& b, uint32_t bs) {
   std::vector<std::vector<std::pair<uint32_t, double>>> b_rows(bs);
   b.ForEachValid([&](uint32_t off, double v) {
     b_rows[off / bs].emplace_back(off % bs, v);
   });
-  // Very sparse tile pairs accumulate into a hash map; denser ones into a
-  // dense buffer with a touched-bitmask (avoids allocating bs*bs doubles
-  // for a handful of products).
-  const uint64_t product_bound = a.num_valid() * b.num_valid();
-  if (product_bound * 8 < static_cast<uint64_t>(bs) * bs) {
-    std::unordered_map<uint32_t, double> acc;
-    a.ForEachValid([&](uint32_t off, double av) {
-      const uint32_t base = (off / bs) * bs;
-      for (const auto& [c, bv] : b_rows[off % bs]) {
-        acc[base + c] += av * bv;
-      }
-    });
-    std::vector<std::pair<uint32_t, double>> out(acc.begin(), acc.end());
-    std::sort(out.begin(), out.end());
-    return out;
-  }
   std::vector<double> acc(static_cast<size_t>(bs) * bs, 0.0);
   Bitmask touched(static_cast<size_t>(bs) * bs);
   a.ForEachValid([&](uint32_t off, double av) {
@@ -84,12 +111,25 @@ std::vector<std::pair<uint32_t, double>> MultiplyTiles(const Chunk& a,
       touched.Set(base + c);
     }
   });
-  std::vector<std::pair<uint32_t, double>> out;
+  Cells out;
   out.reserve(touched.CountAll());
   touched.ForEachSetBit([&](size_t off) {
     out.emplace_back(static_cast<uint32_t>(off), acc[off]);
   });
   return out;
+}
+
+}  // namespace
+
+std::vector<std::pair<uint32_t, double>> MultiplyTiles(const Chunk& a,
+                                                       const Chunk& b,
+                                                       uint32_t bs) {
+  // Invalid (zero) cells never appear: the bitmask iteration is the "skip
+  // the pair when either operand is zero" rule of Fig. 5.
+  if (FewProducts(a.num_valid(), b.num_valid(), bs)) {
+    return SparseProduct(a.ToCells(), b.ToCells(), bs);
+  }
+  return DenseProduct(a, b, bs);
 }
 
 ArrayMetadata BlockMatrix::MakeMeta(uint64_t rows, uint64_t cols,
@@ -292,7 +332,6 @@ Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
   if (block_ != other.block_) {
     return Status::InvalidArgument("operands must share a block size");
   }
-  Context* ctx = this->ctx();
   const uint64_t nrb_a = num_row_blocks();
   const uint64_t nrb_b = other.num_row_blocks();
   const uint32_t bs = static_cast<uint32_t>(block_);
@@ -313,7 +352,8 @@ Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
 
   // Local join (Sec. VI-A): when the left matrix is placed by column
   // block and the right by row block with equal partition counts, record
-  // placement is already a function of j, so the join needs no shuffle.
+  // placement is already a function of j, so the cogroup needs no
+  // shuffle.
   const bool local_ok =
       !options.force_shuffle_join &&
       scheme_ == PartitionScheme::kByColBlock &&
@@ -327,32 +367,53 @@ Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
     b_by_j = ToPair<uint64_t, std::pair<uint64_t, Chunk>>(b_by_j.AsRdd(), p);
   }
 
-  auto joined = a_by_j.Join(b_by_j);
+  // One multiply pass per contraction group j: every (A[rb, j], B[j, cb])
+  // pair of the group is multiplied in place, each tile listed as cells
+  // once per group rather than copied into a record per pair.
+  using Group = std::vector<std::pair<uint64_t, Chunk>>;
   const uint64_t out_nrb = nrb_a;
+  auto partials = ToPair<ChunkId, TilePartial>(
+      a_by_j.CoGroup(b_by_j).AsRdd().FlatMap(
+          [bs, out_nrb](
+              const std::pair<uint64_t, std::pair<Group, Group>>& group) {
+            const auto& [a_tiles, b_tiles] = group.second;
+            std::vector<std::pair<ChunkId, TilePartial>> out;
+            if (a_tiles.empty() || b_tiles.empty()) return out;
+            std::vector<Cells> a_cells, b_cells;
+            a_cells.reserve(a_tiles.size());
+            b_cells.reserve(b_tiles.size());
+            for (const auto& [rb, tile] : a_tiles) {
+              a_cells.push_back(tile.ToCells());
+            }
+            for (const auto& [cb, tile] : b_tiles) {
+              b_cells.push_back(tile.ToCells());
+            }
+            for (size_t i = 0; i < a_tiles.size(); ++i) {
+              const auto& [rb, a_tile] = a_tiles[i];
+              for (size_t k = 0; k < b_tiles.size(); ++k) {
+                const auto& [cb, b_tile] = b_tiles[k];
+                TilePartial partial;
+                partial.cells =
+                    FewProducts(a_cells[i].size(), b_cells[k].size(), bs)
+                        ? SparseProduct(a_cells[i], b_cells[k], bs)
+                        : DenseProduct(a_tile, b_tile, bs);
+                if (partial.cells.empty()) continue;
+                out.emplace_back(rb + cb * out_nrb, std::move(partial));
+              }
+            }
+            return out;
+          }));
   // Gather: tile partial products reduce onto the output tile id.
-  auto partials = ToPair<ChunkId, TilePartial>(joined.AsRdd().Map(
-      [bs, out_nrb](
-          const std::pair<uint64_t,
-                          std::pair<std::pair<uint64_t, Chunk>,
-                                    std::pair<uint64_t, Chunk>>>& rec) {
-        const auto& [rb, a_tile] = rec.second.first;
-        const auto& [cb, b_tile] = rec.second.second;
-        TilePartial partial;
-        partial.cells = MultiplyTiles(a_tile, b_tile, bs);
-        return std::pair<ChunkId, TilePartial>(rb + cb * out_nrb,
-                                               std::move(partial));
-      }));
   auto reduced = partials.ReduceByKey(MergePartials);
   const uint32_t cpt = bs * bs;
   auto tiles = reduced
                    .MapValues([cpt](const TilePartial& p) {
-                     auto cells = p.cells;
                      // Cancellation can produce explicit zeros; drop them.
-                     cells.erase(std::remove_if(cells.begin(), cells.end(),
-                                                [](const auto& c) {
-                                                  return c.second == 0.0;
-                                                }),
-                                 cells.end());
+                     Cells cells;
+                     cells.reserve(p.cells.size());
+                     for (const auto& cell : p.cells) {
+                       if (cell.second != 0.0) cells.push_back(cell);
+                     }
                      return TileFromSortedCells(cpt, std::move(cells));
                    })
                    .Filter([](const std::pair<ChunkId, Chunk>& rec) {
@@ -366,7 +427,6 @@ Result<BlockMatrix> BlockMatrix::Multiply(const BlockMatrix& other,
   out.array_ = ArrayRdd(MakeMeta(rows_, other.cols_, block_),
                         PairRdd<ChunkId, Chunk>(tiles.AsRdd(),
                                                 tiles.partitioner()));
-  (void)ctx;
   return out;
 }
 

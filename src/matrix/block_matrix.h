@@ -111,10 +111,11 @@ class BlockMatrix {
   /// (paper Sec. IV-A / Fig. 5).
   Result<BlockMatrix> Hadamard(const BlockMatrix& other) const;
 
-  /// Matrix product (scatter/gather): tiles join on the contraction block
-  /// index, partial tile products reduce by output position. When `this`
-  /// is placed kByColBlock and `other` kByRowBlock with equal partition
-  /// counts, the join is local and neither matrix shuffles (Sec. VI-A).
+  /// Matrix product (scatter/gather): tiles cogroup on the contraction
+  /// block index, one pass per group multiplies all of its tile pairs, and
+  /// partial tile products reduce by output position. When `this` is
+  /// placed kByColBlock and `other` kByRowBlock with equal partition
+  /// counts, the cogroup is local and neither matrix shuffles (Sec. VI-A).
   Result<BlockMatrix> Multiply(const BlockMatrix& other,
                                const MatMulOptions& options = {}) const;
 
@@ -151,10 +152,12 @@ class BlockMatrix {
 };
 
 /// Multiplies two tiles: out[r, c] += a[r, j] * b[j, c], skipping invalid
-/// (zero) operands via the bitmasks. `bs` is the block edge length. When
-/// the left tile is sparse enough that an offset array beats its bitmask
-/// (OffsetArray::PrefersOffsets), iteration goes through offsets — the
-/// static-matrix conversion of paper Sec. V-A4. Exposed for benches.
+/// (zero) operands via the bitmasks. `bs` is the block edge length. A
+/// pair with fewer than bs*bs/8 candidate products runs a sorted-COO
+/// merge over the two offset-sorted cell lists (paper Sec. V-A4's offset
+/// arrays); denser pairs accumulate into a bs*bs buffer. Both add the
+/// products of one output cell from 0.0 in the same order, so they round
+/// alike. Returns offset-sorted cells. Exposed for benches.
 std::vector<std::pair<uint32_t, double>> MultiplyTiles(const Chunk& a,
                                                        const Chunk& b,
                                                        uint32_t bs);

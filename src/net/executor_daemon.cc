@@ -31,17 +31,19 @@ Result<uint64_t> SpillFrameBuffer(const void* data, const std::string& path) {
   return codec::WriteWholeFile(buf->data(), buf->size(), path);
 }
 
-BlockManager::Loaded LoadFrameBuffer(const std::string& path) {
+// An unreadable spill file is returned as an error: the block store drops
+// the block, its fetch finds nothing, and the job re-plans the shuffle.
+Result<BlockManager::Loaded> LoadFrameBuffer(const std::string& path) {
   // The Result itself lives on the heap and the block aliases its value:
   // moving a FrameBuffer out of a stack Result makes GCC's variant
   // teardown trip -Wfree-nonheap-object (a false positive, but noise).
   auto read = std::make_shared<const Result<codec::FrameBuffer>>(
       codec::ReadFrameFile(path));
-  SPANGLE_CHECK(read->ok()) << "daemon cannot read spill file " << path
-                            << ": " << read->status().ToString();
+  SPANGLE_RETURN_NOT_OK(read->status());
   const codec::FrameBuffer& buf = **read;
   const uint64_t mapped = buf.mapped() ? buf.size() : 0;
-  return {std::shared_ptr<const codec::FrameBuffer>(read, &buf), mapped};
+  return BlockManager::Loaded(
+      std::shared_ptr<const codec::FrameBuffer>(read, &buf), mapped);
 }
 
 }  // namespace

@@ -114,6 +114,27 @@ TEST_P(ChunkModeTest, FlatMaskMatchesValidity) {
   }
 }
 
+TEST_P(ChunkModeTest, FromCellsAcceptsUnsortedInput) {
+  for (double density : {0.005, 0.2}) {
+    const auto sorted = RandomCells(4096, density, 13);
+    auto shuffled = sorted;
+    Rng rng(14);
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+    }
+    ASSERT_NE(shuffled, sorted);
+    Chunk from_sorted = Chunk::FromCells(4096, sorted, GetParam());
+    Chunk from_shuffled = Chunk::FromCells(4096, shuffled, GetParam());
+    EXPECT_EQ(from_shuffled.mode(), GetParam());
+    EXPECT_EQ(from_shuffled.num_valid(), sorted.size());
+    EXPECT_EQ(from_shuffled.ToCells(), sorted);
+    EXPECT_EQ(from_shuffled.MemoryBytes(), from_sorted.MemoryBytes());
+    for (const auto& [off, v] : sorted) {
+      EXPECT_EQ(from_shuffled.Value(off), v) << "offset " << off;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, ChunkModeTest,
                          ::testing::Values(ChunkMode::kDense,
                                            ChunkMode::kSparse,

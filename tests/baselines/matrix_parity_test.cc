@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "baselines/matrix_engines.h"
 
 namespace spangle {
@@ -56,6 +61,84 @@ TEST(MatrixParityTest, MtMNonZeroCountsAgree) {
   EXPECT_EQ(*coo->MtM(), want);
   EXPECT_EQ(*mllib->MtM(), want);
   EXPECT_EQ(*scidb->MtM(), want);
+}
+
+using CooProduct = std::map<std::pair<uint64_t, uint64_t>, double>;
+
+// (MT M)[i][j] = sum_r M[r][i] * M[r][j], straight from the triples.
+CooProduct CooMtM(const SyntheticMatrix& m) {
+  std::map<uint64_t, std::vector<std::pair<uint64_t, double>>> rows;
+  for (const MatrixEntry& e : m.entries) {
+    rows[e.row].emplace_back(e.col, e.value);
+  }
+  CooProduct out;
+  for (const auto& [r, cells] : rows) {
+    for (const auto& [i, vi] : cells) {
+      for (const auto& [j, vj] : cells) out[{i, j}] += vi * vj;
+    }
+  }
+  return out;
+}
+
+void ExpectMatchesCoo(const BlockMatrix& product, const CooProduct& want) {
+  const auto cells = product.array().CollectCells();
+  EXPECT_EQ(cells.size(), want.size());
+  for (const CellValue& cell : cells) {
+    auto it = want.find({static_cast<uint64_t>(cell.pos[0]),
+                         static_cast<uint64_t>(cell.pos[1])});
+    ASSERT_NE(it, want.end()) << cell.pos[0] << "," << cell.pos[1];
+    EXPECT_NEAR(cell.value, it->second, 1e-12 * std::abs(it->second))
+        << cell.pos[0] << "," << cell.pos[1];
+  }
+}
+
+TEST(MatrixParityTest, PowerLawMtMMatchesCooReference) {
+  // A small mawi-like matrix: power-law rows put most tiles in row block
+  // 0, so one contraction group holds most of the tile pairs, and every
+  // tile is super-sparse.
+  Context ctx(4);
+  const SyntheticMatrix m =
+      GeneratePowerLawMatrix("mawi_like", 64000, 64000, 1200, 1.3, 26);
+  const uint64_t block = 256;
+  const CooProduct want = CooMtM(m);
+  const uint64_t coo_nnz = *(*CooMatrixEngine::Load(&ctx, m))->MtM();
+  ASSERT_EQ(coo_nnz, want.size());
+
+  // Default placement: physical transpose, then a shuffled cogroup.
+  auto mat = *BlockMatrix::FromEntries(&ctx, m.rows, m.cols, block, m.entries);
+  const uint64_t nrb = mat.num_row_blocks();
+  size_t tiles = 0, hot = 0;
+  for (const auto& [id, tile] : mat.array().chunks().AsRdd().Collect()) {
+    ++tiles;
+    if (id % nrb == 0) ++hot;
+    EXPECT_EQ(tile.mode(), ChunkMode::kSuperSparse);
+  }
+  ASSERT_GT(hot * 3, tiles) << "row block 0 should hold a third of tiles";
+  const BlockMatrix shuffled = *mat.TransposeSelfMultiply();
+  EXPECT_EQ(shuffled.NumNonZero(), coo_nnz);
+  ExpectMatchesCoo(shuffled, want);
+
+  // Local join: MT placed by column block and M by row block, so the
+  // contraction cogroup shuffles nothing.
+  std::vector<MatrixEntry> transposed;
+  transposed.reserve(m.entries.size());
+  for (const MatrixEntry& e : m.entries) {
+    transposed.push_back({e.col, e.row, e.value});
+  }
+  const int parts = 4;
+  auto mt = *BlockMatrix::FromEntries(&ctx, m.cols, m.rows, block, transposed,
+                                      ModePolicy::Auto(),
+                                      PartitionScheme::kByColBlock, parts);
+  auto by_row = *BlockMatrix::FromEntries(&ctx, m.rows, m.cols, block,
+                                          m.entries, ModePolicy::Auto(),
+                                          PartitionScheme::kByRowBlock, parts);
+  const BlockMatrix local = *mt.Multiply(by_row);
+  EXPECT_EQ(ctx.BuildPlan(local.array().chunks().AsRdd().node(), "collect")
+                .NumPendingShuffleStages(),
+            1)
+      << "only the output gather shuffles";
+  EXPECT_EQ(local.NumNonZero(), coo_nnz);
+  ExpectMatchesCoo(local, want);
 }
 
 TEST(MatrixParityTest, SciSparkHasNoDistributedMultiply) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
 
 namespace spangle {
@@ -78,6 +80,77 @@ TEST(HierarchicalBitmaskTest, ForEachSetBitMatchesFlat) {
   h.ForEachSetBit([&](size_t i) { from_h.push_back(i); });
   EXPECT_EQ(from_flat, from_h);
 }
+
+// FromSortedBits must build exactly what FromBitmask builds from the
+// equivalent flat mask: same answers from every query and the same
+// footprint.
+void ExpectSortedBuildMatchesFlat(const Bitmask& flat) {
+  std::vector<uint32_t> bits;
+  flat.ForEachSetBit(
+      [&](size_t i) { bits.push_back(static_cast<uint32_t>(i)); });
+  const auto want = HierarchicalBitmask::FromBitmask(flat);
+  const auto got = HierarchicalBitmask::FromSortedBits(
+      flat.num_bits(), bits.size(), [&](size_t k) { return bits[k]; });
+  ASSERT_EQ(got.num_bits(), want.num_bits());
+  EXPECT_EQ(got.num_lower_words(), want.num_lower_words());
+  EXPECT_EQ(got.SizeBytes(), want.SizeBytes());
+  EXPECT_EQ(got.CountAll(), want.CountAll());
+  for (size_t i = 0; i < flat.num_bits(); ++i) {
+    ASSERT_EQ(got.Test(i), want.Test(i)) << "i=" << i;
+    ASSERT_EQ(got.Rank(i), want.Rank(i)) << "i=" << i;
+  }
+  EXPECT_EQ(got.Rank(flat.num_bits()), want.Rank(flat.num_bits()));
+  for (uint64_t k = 0; k <= bits.size(); ++k) {
+    EXPECT_EQ(got.SelectSetBit(k), want.SelectSetBit(k)) << "k=" << k;
+  }
+  std::vector<size_t> from_got, from_want;
+  got.ForEachSetBit([&](size_t i) { from_got.push_back(i); });
+  want.ForEachSetBit([&](size_t i) { from_want.push_back(i); });
+  EXPECT_EQ(from_got, from_want);
+  EXPECT_TRUE(got.ToBitmask() == flat);
+}
+
+TEST(HierarchicalSortedBuildTest, EmptyMask) {
+  ExpectSortedBuildMatchesFlat(Bitmask(4096));
+  ExpectSortedBuildMatchesFlat(Bitmask(0));
+}
+
+TEST(HierarchicalSortedBuildTest, FirstAndLastBit) {
+  for (size_t bits : {size_t{64}, size_t{4096}, size_t{4100}}) {
+    Bitmask first(bits);
+    first.Set(0);
+    ExpectSortedBuildMatchesFlat(first);
+    Bitmask last(bits);
+    last.Set(bits - 1);
+    ExpectSortedBuildMatchesFlat(last);
+  }
+}
+
+TEST(HierarchicalSortedBuildTest, OneBitPerWord) {
+  Bitmask flat(64 * 70);
+  for (size_t w = 0; w < 70; ++w) flat.Set(w * 64 + (w * 7) % 64);
+  ExpectSortedBuildMatchesFlat(flat);
+}
+
+TEST(HierarchicalSortedBuildTest, FullWord) {
+  Bitmask flat(64 * 300);
+  flat.SetRange(64 * 150, 64 * 151);
+  ExpectSortedBuildMatchesFlat(flat);
+}
+
+class HierarchicalSortedDensityTest
+    : public ::testing::TestWithParam<double> {};
+
+TEST_P(HierarchicalSortedDensityTest, MatchesFromBitmask) {
+  // Up to the super-sparse mode's 1/64 threshold, at 512^2 cells (the
+  // ml benchmark's tile) and at a size with a partial last word.
+  ExpectSortedBuildMatchesFlat(RandomMask(512 * 512, 23, GetParam()));
+  ExpectSortedBuildMatchesFlat(RandomMask(20000 + 37, 29, GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Densities, HierarchicalSortedDensityTest,
+                         ::testing::Values(0.00001, 0.0005, 0.004,
+                                           1.0 / 64));
 
 }  // namespace
 }  // namespace spangle

@@ -138,7 +138,7 @@ TEST(BlockDedup, MappedReadbackBytesAreBudgetExempt) {
   BlockManager bm(storage, 2, &metrics);
 
   const auto spill = [](const void* data,
-                        const std::string& path) -> uint64_t {
+                        const std::string& path) -> Result<uint64_t> {
     const auto* records = static_cast<const std::vector<Record>*>(data);
     return codec::WritePartitionFile(*records, path);
   };

@@ -239,8 +239,9 @@ TEST(ColumnarCodec, SpillFileRoundTripPrefersMmap) {
   const auto records = SparsePairs(1500, 0.2, 5);
   const std::string path =
       ::testing::TempDir() + "/spangle_codec_frame_file_test.bin";
-  const uint64_t written = WritePartitionFile(records, path);
-  EXPECT_GT(written, 0u);
+  const auto written = WritePartitionFile(records, path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_GT(*written, 0u);
 
   auto buf = ReadFrameFile(path);
   ASSERT_TRUE(buf.ok()) << buf.status().ToString();
@@ -252,7 +253,8 @@ TEST(ColumnarCodec, SpillFileRoundTripPrefersMmap) {
 
   const auto reread =
       ReadPartitionFile<std::pair<int64_t, double>>(path);
-  ExpectBitExact(reread, records);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  ExpectBitExact(*reread, records);
   ::remove(path.c_str());
 }
 

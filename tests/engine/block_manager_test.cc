@@ -262,10 +262,12 @@ TEST(SpillCodecTest, PartitionFileRoundTrip) {
     recs.emplace_back(i, std::vector<double>(i % 7, 0.5 * i));
   }
   const std::string path = ::testing::TempDir() + "spangle_codec_rt.spill";
-  const uint64_t bytes = codec::WritePartitionFile<Rec>(recs, path);
-  EXPECT_GT(bytes, 0u);
+  const auto bytes = codec::WritePartitionFile<Rec>(recs, path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_GT(*bytes, 0u);
   auto back = codec::ReadPartitionFile<Rec>(path);
-  EXPECT_EQ(back, recs);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, recs);
   std::remove(path.c_str());
 }
 

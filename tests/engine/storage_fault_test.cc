@@ -169,5 +169,85 @@ TEST(SpillFailureTest, SpillDirRemovedMidRunFailsLaterSpills) {
   EXPECT_EQ(ctx.metrics().spilled_bytes.load(), spilled);
 }
 
+// Spills a MEMORY_AND_DISK cache, a DISK_ONLY cache and a reduceByKey's
+// output under a 1 KiB budget, damages every spill file with `damage`,
+// then reads everything again. A recomputable block whose file is bad
+// recomputes from lineage; the shuffle output re-runs its shuffle.
+template <typename Damage>
+void ExpectExactAnswersAfterSpillDamage(const std::string& tag,
+                                        Damage damage) {
+  StorageOptions storage;
+  storage.memory_budget_bytes = 1024;
+  storage.spill_dir = ::testing::TempDir() + "/spangle_spill_" + tag + "_" +
+                      std::to_string(::getpid());
+  {
+    Context ctx(2, 0, 0, storage);
+    std::vector<int> data(4000);
+    for (int i = 0; i < 4000; ++i) data[i] = i;
+    std::vector<int> tripled, decremented;
+    for (int x : data) {
+      tripled.push_back(x * 3);
+      decremented.push_back(x - 1);
+    }
+    std::vector<std::pair<int, int>> counts;
+    for (int k = 0; k < 16; ++k) counts.emplace_back(k, 250);
+    auto source = ctx.Parallelize(data, 8);
+    auto both = source.Map([](const int& x) { return x * 3; });
+    both.Cache(StorageLevel::kMemoryAndDisk);
+    auto disk = source.Map([](const int& x) { return x - 1; });
+    disk.Cache(StorageLevel::kDiskOnly);
+    auto keyed = PairRdd<int, int>(source.Map([](const int& x) {
+                   return std::pair<int, int>(x % 16, 1);
+                 })).ReduceByKey([](const int& a, const int& b) {
+      return a + b;
+    });
+    auto sorted_counts = [&keyed] {
+      auto got = keyed.AsRdd().Collect();
+      std::sort(got.begin(), got.end());
+      return got;
+    };
+    // The shuffle runs first, so the caches that follow evict (and
+    // spill) its output.
+    EXPECT_EQ(sorted_counts(), counts);
+    EXPECT_EQ(both.Collect(), tripled);
+    EXPECT_EQ(disk.Collect(), decremented);
+    ASSERT_GT(ctx.metrics().spilled_bytes.load(), 0u);
+
+    size_t damaged = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(storage.spill_dir)) {
+      damage(entry.path());
+      ++damaged;
+    }
+    ASSERT_GT(damaged, 0u);
+    const uint64_t recomputed = ctx.metrics().recomputed_partitions.load();
+    const uint64_t reruns = ctx.metrics().stage_reruns.load();
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(sorted_counts(), counts) << "round " << round;
+      EXPECT_EQ(both.Collect(), tripled) << "round " << round;
+      EXPECT_EQ(disk.Collect(), decremented) << "round " << round;
+    }
+    EXPECT_GT(ctx.metrics().recomputed_partitions.load(), recomputed)
+        << "cached blocks with a bad spill file must recompute";
+    EXPECT_GT(ctx.metrics().stage_reruns.load(), reruns)
+        << "a shuffle output with a bad spill file must re-run its shuffle";
+  }
+  std::filesystem::remove_all(storage.spill_dir);
+}
+
+TEST(SpillReadbackFailureTest, VanishedSpillFilesRecompute) {
+  ExpectExactAnswersAfterSpillDamage(
+      "vanished", [](const std::filesystem::path& p) {
+        std::filesystem::remove(p);
+      });
+}
+
+TEST(SpillReadbackFailureTest, TruncatedSpillFilesRecompute) {
+  ExpectExactAnswersAfterSpillDamage(
+      "truncated", [](const std::filesystem::path& p) {
+        std::filesystem::resize_file(p, std::filesystem::file_size(p) / 2);
+      });
+}
+
 }  // namespace
 }  // namespace spangle

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/random.h"
 
 namespace spangle {
@@ -146,6 +148,105 @@ TEST(MultiplyTilesTest, MatchesDenseReference) {
   std::vector<double> got(bs * bs, 0);
   for (auto& [o, v] : cells) got[o] = v;
   for (uint32_t i = 0; i < bs * bs; ++i) EXPECT_NEAR(got[i], want[i], 1e-9);
+}
+
+using Cells = std::vector<std::pair<uint32_t, double>>;
+
+// out[r, c] += a[r, j] * b[j, c] with every output cell summed from 0.0
+// in generation order: left cells in offset order, each streaming the
+// right operand's row j in column order.
+Cells InOrderProduct(const Cells& a, const Cells& b, uint32_t bs) {
+  std::map<uint32_t, double> acc;
+  for (const auto& [ao, av] : a) {
+    for (const auto& [bo, bv] : b) {
+      if (bo / bs != ao % bs) continue;
+      acc[(ao / bs) * bs + bo % bs] += av * bv;
+    }
+  }
+  return Cells(acc.begin(), acc.end());
+}
+
+Chunk Tile(uint32_t bs, const Cells& cells) {
+  return Chunk::FromCells(bs * bs, cells,
+                          Chunk::ChooseMode(bs * bs, cells.size()));
+}
+
+// True when MultiplyTiles takes its sparse (sorted-COO) branch.
+bool FewProducts(const Chunk& a, const Chunk& b, uint32_t bs) {
+  return a.num_valid() * b.num_valid() * 8 < uint64_t{bs} * bs;
+}
+
+TEST(MultiplyTilesTest, SuperSparseCollisionsMatchInOrderSums) {
+  const uint32_t bs = 64;
+  Rng rng(61);
+  auto v = [&rng] { return rng.NextDouble(-3, 3); };
+  // Row 3 of `a` meets columns 2 and 7 of `b` through four different j,
+  // so several products land on one output offset; rows 17 and 63 and
+  // the tile corners cover the offset edges.
+  const Cells ac = {{3 * bs + 1, v()},  {3 * bs + 5, v()},
+                    {3 * bs + 9, v()},  {3 * bs + 40, v()},
+                    {17 * bs + 5, v()}, {17 * bs + 63, v()},
+                    {63 * bs + 0, v()}, {63 * bs + 63, v()}};
+  const Cells bc = {{0 * bs + 63, v()}, {1 * bs + 2, v()},
+                    {1 * bs + 7, v()},  {5 * bs + 2, v()},
+                    {5 * bs + 60, v()}, {9 * bs + 2, v()},
+                    {9 * bs + 7, v()},  {40 * bs + 2, v()},
+                    {63 * bs + 0, v()}, {63 * bs + 63, v()}};
+  const Chunk a = Tile(bs, ac);
+  const Chunk b = Tile(bs, bc);
+  ASSERT_EQ(a.mode(), ChunkMode::kSuperSparse);
+  ASSERT_EQ(b.mode(), ChunkMode::kSuperSparse);
+  ASSERT_TRUE(FewProducts(a, b, bs));
+  const Cells want = InOrderProduct(ac, bc, bs);
+  ASSERT_EQ(want.size(), 9u);  // (3,2) and (3,7) each sum several products
+  EXPECT_EQ(MultiplyTiles(a, b, bs), want);
+}
+
+TEST(MultiplyTilesTest, RandomSuperSparsePairsMatchInOrderSums) {
+  const uint32_t bs = 64;
+  Rng rng(62);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Rows and columns from one small set, so that left columns meet
+    // right rows and products collide often.
+    const uint32_t lines[] = {0, 9, 21, 42, 63};
+    auto draw = [&](size_t n) {
+      std::map<uint32_t, double> cells;
+      while (cells.size() < n) {
+        const uint32_t r = lines[rng.NextBounded(5)];
+        const uint32_t c = lines[rng.NextBounded(5)];
+        cells[r * bs + c] = rng.NextDouble(-1, 1);
+      }
+      return Cells(cells.begin(), cells.end());
+    };
+    const Cells ac = draw(1 + rng.NextBounded(20));
+    const Cells bc = draw(1 + rng.NextBounded(20));
+    const Chunk a = Tile(bs, ac);
+    const Chunk b = Tile(bs, bc);
+    ASSERT_TRUE(FewProducts(a, b, bs)) << "trial " << trial;
+    EXPECT_EQ(MultiplyTiles(a, b, bs), InOrderProduct(ac, bc, bs))
+        << "trial " << trial;
+  }
+}
+
+TEST(MultiplyTilesTest, EmptyAndLastCellTiles) {
+  const uint32_t bs = 64;
+  const uint32_t last = bs * bs - 1;
+  const Cells only_last = {{last, 1.5}};
+  const Cells row_63 = {{63 * bs + 0, 2.0}, {63 * bs + 63, -4.0}};
+  const Cells col_63 = {{0 * bs + 63, 3.0}, {63 * bs + 63, 0.25}};
+  const Chunk empty = Tile(bs, {});
+  for (const Cells& other : {only_last, row_63, col_63}) {
+    EXPECT_TRUE(MultiplyTiles(empty, Tile(bs, other), bs).empty());
+    EXPECT_TRUE(MultiplyTiles(Tile(bs, other), empty, bs).empty());
+  }
+  // Cell (63, 63) times row 63 gives row 63; column 63 times it gives
+  // column 63.
+  const Chunk last_tile = Tile(bs, only_last);
+  EXPECT_EQ(MultiplyTiles(last_tile, Tile(bs, row_63), bs),
+            (Cells{{63 * bs + 0, 3.0}, {last, -6.0}}));
+  EXPECT_EQ(MultiplyTiles(Tile(bs, col_63), last_tile, bs),
+            (Cells{{0 * bs + 63, 4.5}, {last, 0.375}}));
+  EXPECT_EQ(MultiplyTiles(last_tile, last_tile, bs), (Cells{{last, 2.25}}));
 }
 
 class MultiplyShapeTest
