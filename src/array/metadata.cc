@@ -8,6 +8,9 @@ Result<ArrayMetadata> ArrayMetadata::Make(std::vector<Dimension> dims) {
   if (dims.empty()) {
     return Status::InvalidArgument("array needs at least one dimension");
   }
+  // Chunk offsets are uint32_t, so a chunk must hold fewer than 2^32
+  // cells. Both factors stay below 2^32, so the product cannot wrap.
+  constexpr uint64_t kMaxCells = uint64_t{1} << 32;
   uint64_t chunk_cells = 1;
   for (const auto& d : dims) {
     if (d.size == 0) {
@@ -17,10 +20,10 @@ Result<ArrayMetadata> ArrayMetadata::Make(std::vector<Dimension> dims) {
       return Status::InvalidArgument("dimension '" + d.name +
                                      "' has chunk size 0");
     }
-    chunk_cells *= d.chunk_size;
-    if (chunk_cells > (uint64_t{1} << 32)) {
-      return Status::InvalidArgument("chunk exceeds 2^32 cells");
+    if (d.chunk_size >= kMaxCells || chunk_cells * d.chunk_size >= kMaxCells) {
+      return Status::InvalidArgument("chunk has 2^32 or more cells");
     }
+    chunk_cells *= d.chunk_size;
   }
   return ArrayMetadata(std::move(dims));
 }

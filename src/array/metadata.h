@@ -29,7 +29,7 @@ class ArrayMetadata {
   explicit ArrayMetadata(std::vector<Dimension> dims)
       : dims_(std::move(dims)) {}
 
-  /// Validates and constructs; fails on zero sizes or chunk > 2^32 cells.
+  /// Validates and constructs; fails on zero sizes or chunk >= 2^32 cells.
   static Result<ArrayMetadata> Make(std::vector<Dimension> dims);
 
   size_t num_dims() const { return dims_.size(); }

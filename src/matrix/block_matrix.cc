@@ -145,8 +145,9 @@ Result<BlockMatrix> BlockMatrix::FromEntries(
   if (rows == 0 || cols == 0 || block == 0) {
     return Status::InvalidArgument("matrix dimensions must be positive");
   }
-  if (block * block > (uint64_t{1} << 32)) {
-    return Status::InvalidArgument("tile exceeds 2^32 cells");
+  // block^2 >= 2^32 cells would not fit the uint32_t tile offsets.
+  if (block >= (uint64_t{1} << 16)) {
+    return Status::InvalidArgument("tile has 2^32 or more cells");
   }
   BlockMatrix out;
   out.rows_ = rows;

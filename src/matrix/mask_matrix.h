@@ -8,7 +8,6 @@
 #include "bitmask/bitmask.h"
 #include "bitmask/hierarchical_bitmask.h"
 #include "matrix/block_vector.h"
-#include "matrix/partition.h"
 
 namespace spangle {
 
@@ -46,15 +45,17 @@ class MaskMatrix {
  public:
   MaskMatrix() = default;
 
-  /// Builds an n x n matrix from (row, col) = (dst, src) pairs. Mode: each
-  /// tile independently picks flat vs hierarchical by density unless
-  /// `force_hierarchical`; `scheme` as in BlockMatrix.
+  /// Builds an n x n matrix from (row, col) = (dst, src) pairs. The
+  /// driver only buckets the edges into per-tile offset lists; each tile
+  /// is built by a task from its sorted, de-duplicated offsets, so a lost
+  /// tile rebuilds from its list. Mode: each tile independently picks
+  /// flat vs hierarchical by density unless `force_hierarchical`. Tiles
+  /// are placed by column block, so a vector with `num_partitions` hash-
+  /// placed blocks sits next to the tiles that read it.
   static Result<MaskMatrix> FromEdges(
       Context* ctx, uint64_t n, uint64_t block,
       const std::vector<std::pair<uint64_t, uint64_t>>& edges,
-      bool force_hierarchical = false,
-      PartitionScheme scheme = PartitionScheme::kHashChunk,
-      int num_partitions = 0);
+      bool force_hierarchical = false, int num_partitions = 0);
 
   uint64_t n() const { return n_; }
   uint64_t block() const { return block_; }
@@ -72,7 +73,10 @@ class MaskMatrix {
 
   /// A' . v — every set bit (r, c) contributes v[c] to out[r]. The inner
   /// loop is pure popcount-style bit iteration; no multiplies at all for
-  /// the matrix side.
+  /// the matrix side. Tiles are read in place against the co-placed
+  /// vector blocks (a narrow zip); only the row-block partial sums
+  /// shuffle. A vector with a different partition count re-places the
+  /// tiles first.
   Result<BlockVector> MultiplyVector(const BlockVector& v) const;
 
   /// Out-degree of every column (number of set bits per column), used to

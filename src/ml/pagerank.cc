@@ -19,9 +19,7 @@ Result<PageRankResult> PageRank(
   SPANGLE_ASSIGN_OR_RETURN(
       MaskMatrix a_prime,
       MaskMatrix::FromEdges(ctx, n, options.block, dst_src,
-                            options.super_sparse,
-                            PartitionScheme::kHashChunk,
-                            options.num_partitions));
+                            options.super_sparse, options.num_partitions));
   a_prime.Cache(options.storage_level);
 
   // w[j] = 1 / outdeg(j); dangling nodes keep w = 0 (the basic variant

@@ -58,5 +58,20 @@ TEST(MetadataTest, RejectsHugeChunks) {
                    .ok());
 }
 
+TEST(MetadataTest, RejectsChunksOfExactly2To32Cells) {
+  // A 65536 x 65536 chunk has 2^32 cells, one more than a uint32_t
+  // offset can address.
+  const uint64_t k = uint64_t{1} << 16;
+  auto exact = ArrayMetadata::Make({{"x", 0, k, k, 0}, {"y", 0, k, k, 0}});
+  EXPECT_TRUE(exact.status().IsInvalidArgument()) << exact.status().ToString();
+  EXPECT_TRUE(
+      ArrayMetadata::Make({{"x", 0, k, k, 0}, {"y", 0, k, k - 1, 0}}).ok());
+  // A product that wraps 2^64 to a small number is rejected too.
+  const uint64_t half = uint64_t{1} << 63;
+  EXPECT_TRUE(ArrayMetadata::Make({{"x", 0, 4, 2, 0}, {"y", 0, half, half, 0}})
+                  .status()
+                  .IsInvalidArgument());
+}
+
 }  // namespace
 }  // namespace spangle

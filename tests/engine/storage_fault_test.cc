@@ -8,9 +8,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +71,40 @@ TEST(StorageFaultTest, PageRankSurvivesExecutorLossUnderTightBudget) {
   }
   EXPECT_GT(faulted_ctx.metrics().recomputed_partitions.load(), 0u)
       << "the failure must have forced lineage recomputation";
+}
+
+TEST(StorageFaultTest, PageRankRebuildsMatrixTilesFromOffsetsBeforeIterating) {
+  const uint64_t n = 2000;
+  const auto edges = RandomGraph(n, 12000, 43);
+
+  PageRankOptions options;
+  options.iterations = 6;
+  options.block = 256;
+
+  Context baseline_ctx(4);
+  auto baseline = PageRank(&baseline_ctx, n, edges, options);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  // Worker 1 dies once the tiles are cached (ColumnDegrees collected them)
+  // and before the first power iteration: the matrix-size aggregate is
+  // the only stage in between. Its tiles must rebuild from the offset
+  // lists of the source.
+  Context faulted_ctx(4);
+  auto kills = std::make_shared<std::atomic<int>>(0);
+  auto policy = std::make_shared<ChaosPolicy>();
+  policy->fail_executor = [kills](const ChaosTaskInfo& t) {
+    if (t.stage != "aggregate" || t.task != 0 || t.attempt != 0 ||
+        t.stage_attempt != 0 || kills->fetch_add(1) != 0) {
+      return -1;
+    }
+    return 1;
+  };
+  faulted_ctx.set_chaos_policy(policy);
+  auto faulted = PageRank(&faulted_ctx, n, edges, options);
+  ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+  EXPECT_EQ(kills->load(), 1);
+  EXPECT_EQ(faulted.ValueOrDie().ranks, baseline.ValueOrDie().ranks);
+  EXPECT_GT(faulted_ctx.metrics().recomputed_partitions.load(), 0u);
 }
 
 TEST(StorageFaultTest, RepeatedFailuresStillConverge) {

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/spangle_array.h"
 #include "common/random.h"
 #include "matrix/block_matrix.h"
+#include "matrix/mask_matrix.h"
 #include "ops/operators.h"
 
 namespace spangle {
@@ -82,6 +85,53 @@ TEST(PlanClaimsTest, LocalJoinMultiplyPlansOnlyTheGatherShuffle) {
   const std::string text = plan.ToString();
   EXPECT_EQ(text.find("partitionBy"), std::string::npos) << text;
   EXPECT_NE(text.find("reduceByKey"), std::string::npos) << text;
+}
+
+TEST(PlanClaimsTest, PageRankMatrixVectorShufflesOnlyTheRowBlockReduce) {
+  Context ctx(2);
+  const int parts = 4;
+  const uint64_t n = 2048;
+  const uint64_t block = 256;
+  Rng rng(7);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (int i = 0; i < 20000; ++i) {
+    edges.emplace_back(rng.NextBounded(n), rng.NextBounded(n));
+  }
+  // A' holds one bit per distinct edge.
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  // Built and cached as PageRank builds A'.
+  auto a = *MaskMatrix::FromEdges(&ctx, n, block, edges, false, parts);
+  a.Cache();
+  const size_t a_bytes = a.MemoryBytes();
+  std::vector<double> x(n);
+  for (uint64_t i = 0; i < n; ++i) x[i] = 1.0 + 0.001 * static_cast<double>(i);
+  std::vector<double> want(n, 0.0);
+  for (const auto& [r, c] : edges) want[r] += x[c];
+
+  auto y = *a.MultiplyVector(BlockVector::FromDense(&ctx, x, block, parts));
+  PhysicalPlan plan = ctx.BuildPlan(y.blocks().AsRdd().node(), "collect");
+  // The tiles sit next to the vector blocks they read: A' never moves,
+  // only the row-block partial sums reduce.
+  EXPECT_EQ(plan.NumPendingShuffleStages(), 1);
+  const std::string text = plan.ToString();
+  EXPECT_EQ(text.find("partitionBy"), std::string::npos) << text;
+  EXPECT_NE(text.find("reduceByKey"), std::string::npos) << text;
+  const uint64_t shuffles_before = ctx.metrics().shuffles.load();
+  const uint64_t bytes_before = ctx.metrics().shuffle_bytes.load();
+  auto got = y.ToDense();
+  EXPECT_EQ(ctx.metrics().shuffles.load() - shuffles_before, 1u);
+  EXPECT_LT(ctx.metrics().shuffle_bytes.load() - bytes_before, a_bytes);
+  ASSERT_EQ(got.size(), n);
+  for (uint64_t i = 0; i < n; ++i) EXPECT_NEAR(got[i], want[i], 1e-9);
+
+  // A vector with another partition count re-places the tiles first and
+  // still gets the right answer.
+  auto other =
+      *a.MultiplyVector(BlockVector::FromDense(&ctx, x, block, parts - 1));
+  auto other_got = other.ToDense();
+  ASSERT_EQ(other_got.size(), n);
+  for (uint64_t i = 0; i < n; ++i) EXPECT_NEAR(other_got[i], want[i], 1e-9);
 }
 
 ArrayRdd Ramp(Context* ctx) {

@@ -81,6 +81,14 @@ TEST(BlockMatrixTest, ValidatesInput) {
       BlockMatrix::FromEntries(&ctx, 4, 4, 2, {{5, 0, 1.0}}).ok());
 }
 
+TEST(BlockMatrixTest, RejectsTilesOf2To32Cells) {
+  Context ctx(2);
+  const uint64_t k = uint64_t{1} << 16;
+  auto exact = BlockMatrix::FromEntries(&ctx, k, k, k, {});
+  EXPECT_TRUE(exact.status().IsInvalidArgument()) << exact.status().ToString();
+  EXPECT_TRUE(BlockMatrix::FromEntries(&ctx, k, k, k - 1, {}).ok());
+}
+
 TEST(BlockMatrixTest, AddAndSubtract) {
   Context ctx(2);
   auto ea = RandomEntries(12, 12, 0.3, 2);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/random.h"
 #include "matrix/block_matrix.h"
 
@@ -32,6 +34,78 @@ TEST(MaskMatrixTest, ValidatesInput) {
   Context ctx(2);
   EXPECT_FALSE(MaskMatrix::FromEdges(&ctx, 0, 8, {}).ok());
   EXPECT_FALSE(MaskMatrix::FromEdges(&ctx, 8, 4, {{9, 0}}).ok());
+}
+
+TEST(MaskMatrixTest, RejectsTilesOf2To32Cells) {
+  Context ctx(2);
+  const uint64_t k = uint64_t{1} << 16;
+  auto exact = MaskMatrix::FromEdges(&ctx, k, k, {{0, 0}});
+  EXPECT_TRUE(exact.status().IsInvalidArgument()) << exact.status().ToString();
+}
+
+/// The words of a tile's mask, whichever mode stores it.
+std::vector<uint64_t> TileWords(const MaskTile& tile) {
+  return tile.hierarchical ? tile.h.ToBitmask().words() : tile.flat.words();
+}
+
+TEST(MaskMatrixTest, FromEdgesMatchesNaiveFlatBuildTileByTile) {
+  // n % block != 0, so the last row and column blocks are partial.
+  const uint64_t n = 100;
+  const uint64_t block = 32;
+  const uint64_t nb = 4;
+  const uint32_t cells = block * block;  // hierarchical below 16 bits
+  Rng rng(11);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  // Tile (0, 0): dense, flat.
+  for (int i = 0; i < 300; ++i) {
+    edges.emplace_back(rng.NextBounded(32), rng.NextBounded(32));
+  }
+  // Tile (1, 2): 15 distinct bits, one below the flat bound.
+  for (uint64_t i = 0; i < 15; ++i) edges.emplace_back(32 + i, 64 + 2 * i);
+  // Tile (2, 1): exactly 16 distinct bits, the first flat count.
+  for (uint64_t i = 0; i < 16; ++i) edges.emplace_back(64 + i, 32 + i);
+  // Tile (3, 3): the partial corner tile.
+  edges.emplace_back(99, 99);
+  edges.emplace_back(96, 97);
+  // Duplicate every edge of tiles (1, 2) and (2, 1): still 15 and 16 bits.
+  for (size_t i = 300; i < 331; ++i) edges.push_back(edges[i]);
+  // Unsorted input.
+  for (size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.NextBounded(i)]);
+  }
+
+  std::map<ChunkId, Bitmask> naive;
+  for (const auto& [dst, src] : edges) {
+    auto [it, inserted] =
+        naive.try_emplace(dst / block + (src / block) * nb, cells);
+    it->second.Set((dst % block) * block + src % block);
+  }
+  for (bool force : {false, true}) {
+    Context ctx(2);
+    auto m = *MaskMatrix::FromEdges(&ctx, n, block, edges, force, 3);
+    auto tiles = m.tiles().Collect();
+    ASSERT_EQ(tiles.size(), naive.size());
+    int flat_tiles = 0;
+    for (const auto& [id, tile] : tiles) {
+      ASSERT_EQ(naive.count(id), 1u) << "tile " << id;
+      Bitmask mask = naive.at(id);
+      const bool hierarchical = force || mask.CountAll() * 64 < cells;
+      EXPECT_EQ(tile.hierarchical, hierarchical) << "tile " << id;
+      size_t want_bytes = 0;
+      if (hierarchical) {
+        want_bytes = HierarchicalBitmask::FromBitmask(mask).SizeBytes();
+      } else {
+        mask.BuildMilestones();
+        want_bytes = mask.SizeBytes();
+        ++flat_tiles;
+      }
+      EXPECT_EQ(TileWords(tile), mask.words()) << "tile " << id;
+      EXPECT_EQ(tile.MemoryBytes(), want_bytes) << "tile " << id;
+    }
+    // Both sides of the density rule were exercised: (0, 0) and (2, 1)
+    // are flat unless forced.
+    EXPECT_EQ(flat_tiles, force ? 0 : 2);
+  }
 }
 
 TEST(MaskMatrixTest, OneBitPerEdgeBeatsPayloadMatrix) {
