@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <vector>
@@ -85,7 +84,6 @@ Result<std::string> BlockManager::PathFor(const BlockId& id) {
 
 void BlockManager::UpdateGauges() {
   metrics_->bytes_cached.store(bytes_in_memory_);
-  metrics_->bytes_mapped.store(bytes_mapped_);
   if (bytes_in_memory_ > metrics_->memory_high_water.load()) {
     metrics_->memory_high_water.store(bytes_in_memory_);
   }
@@ -95,21 +93,14 @@ void BlockManager::InsertResident(const BlockId& id, Block& b, DataPtr data) {
   b.data = std::move(data);
   b.lost = false;
   b.lru_it = lru_.insert(lru_.end(), id);
-  // Only the owned portion counts against the budget; file-backed or
-  // shared bytes are tracked in the separate mapped gauge.
-  const uint64_t unowned = std::min(b.unowned_bytes, b.bytes);
-  bytes_in_memory_ += b.bytes - unowned;
-  bytes_mapped_ += unowned;
+  bytes_in_memory_ += b.bytes;
   UpdateGauges();
 }
 
 void BlockManager::ReleaseMemory(Block& b) {
   if (b.data == nullptr) return;
   lru_.erase(b.lru_it);
-  const uint64_t unowned = std::min(b.unowned_bytes, b.bytes);
-  bytes_in_memory_ -= b.bytes - unowned;
-  bytes_mapped_ -= unowned;
-  b.unowned_bytes = 0;
+  bytes_in_memory_ -= b.bytes;
   b.data = nullptr;
   UpdateGauges();
 }
@@ -171,9 +162,6 @@ void BlockManager::EvictToFit(uint64_t incoming, const BlockId& protect) {
     // shuffle output) is pinned: losing it would be unrecoverable
     // mid-action.
     if (!vb->recomputable && vb->spill == nullptr) continue;
-    // A fully unowned payload (mmap readback / dedup-shared) charges
-    // nothing against the budget, so evicting it frees nothing.
-    if (vb->unowned_bytes >= vb->bytes) continue;
     // blocking-ok: eviction may spill to disk; designed blocking (above).
     EvictBlock(victim, *vb);
   }
@@ -185,7 +173,7 @@ void BlockManager::Put(const BlockId& id, DataPtr data, uint64_t bytes,
   MutexLock lock(&mu_);
   // blocking-ok: admission may evict-and-spill; designed blocking.
   PutLocked(id, std::move(data), bytes, level, std::move(spill),
-            std::move(load), recomputable, content_hash, /*unowned_bytes=*/0);
+            std::move(load), recomputable, content_hash);
 }
 
 bool BlockManager::PutIfAbsent(const BlockId& id, DataPtr data, uint64_t bytes,
@@ -203,48 +191,25 @@ bool BlockManager::PutIfAbsent(const BlockId& id, DataPtr data, uint64_t bytes,
     }
     return false;
   }
-  if (content_hash != 0) {
-    // Content-addressed commit: identical bytes may already be stored
-    // under a different id (an identically re-planned stage). Share that
-    // payload instead of storing a second copy; the new id's bytes are
-    // accounted as unowned.
-    auto cit = content_index_.find(content_hash);
-    if (cit != content_index_.end() && !(cit->second == id)) {
-      Block* src = Find(cit->second);
-      if (src != nullptr && src->data != nullptr &&
-          src->content_hash == content_hash) {
-        metrics_->shuffle_block_dedup_hits.fetch_add(1);
-        // blocking-ok: admission may evict-and-spill; designed blocking.
-        PutLocked(id, src->data, bytes, level, std::move(spill),
-                  std::move(load), recomputable, content_hash,
-                  /*unowned_bytes=*/bytes);
-        return false;  // the caller's copy was discarded
-      }
-      content_index_.erase(cit);  // stale: block gone or rewritten
-    }
-  }
   // blocking-ok: admission may evict-and-spill; designed blocking.
   PutLocked(id, std::move(data), bytes, level, std::move(spill),
-            std::move(load), recomputable, content_hash, /*unowned_bytes=*/0);
+            std::move(load), recomputable, content_hash);
   return true;
 }
 
 void BlockManager::PutLocked(const BlockId& id, DataPtr data, uint64_t bytes,
                              StorageLevel level, SpillFn spill, LoadFn load,
-                             bool recomputable, uint64_t content_hash,
-                             uint64_t unowned_bytes) {
+                             bool recomputable, uint64_t content_hash) {
   Block& b = blocks_[id.node][id.partition];
   ReleaseMemory(b);  // replacing: drop the old payload's accounting
   RemoveFile(b);     // a stale spill file no longer matches the payload
   b.bytes = bytes;
-  b.unowned_bytes = unowned_bytes;
   b.content_hash = content_hash;
   b.level = level;
   b.recomputable = recomputable;
   b.spill = std::move(spill);
   b.load = std::move(load);
   b.lost = false;
-  if (content_hash != 0) content_index_[content_hash] = id;
   // A DISK_ONLY block is never resident, unless its write fails: then it
   // stays in memory rather than being lost.
   if (level == StorageLevel::kDiskOnly && b.spill != nullptr) {
@@ -252,7 +217,7 @@ void BlockManager::PutLocked(const BlockId& id, DataPtr data, uint64_t bytes,
     if (SpillBlock(id, b, data.get())) return;
   }
   // blocking-ok: eviction may spill to disk; designed blocking.
-  EvictToFit(bytes - std::min(unowned_bytes, bytes), id);
+  EvictToFit(bytes, id);
   InsertResident(id, b, std::move(data));
 }
 
@@ -266,7 +231,7 @@ BlockManager::GetResult BlockManager::Get(const BlockId& id) {
     return {b->data, false};
   }
   if (b->on_disk && b->load != nullptr) {
-    Result<Loaded> read = b->load(b->path);
+    Result<DataPtr> read = b->load(b->path);
     metrics_->disk_reads.fetch_add(1);
     if (!read.ok()) {
       SPANGLE_LOG(Warning) << "spill file of block (" << id.node << ", "
@@ -276,16 +241,13 @@ BlockManager::GetResult BlockManager::Get(const BlockId& id) {
       DropBlockLocked(id, *b);  // erases a shuffle output's entry
       return {nullptr, recomputable};
     }
-    Loaded loaded = *std::move(read);
+    DataPtr data = *std::move(read);
     if (b->level != StorageLevel::kDiskOnly) {
-      // Re-admit: only the owned portion of the payload competes for
-      // budget (mmap-backed bytes stay with the file).
-      b->unowned_bytes = std::min(loaded.mapped_bytes, b->bytes);
       // blocking-ok: re-admission may evict-and-spill; designed blocking.
-      EvictToFit(b->bytes - b->unowned_bytes, id);
-      InsertResident(id, *b, loaded.data);
+      EvictToFit(b->bytes, id);
+      InsertResident(id, *b, data);
     }
-    return {std::move(loaded.data), false};
+    return {std::move(data), false};
   }
   return {nullptr, b->lost};
 }
@@ -365,11 +327,6 @@ void BlockManager::FailExecutor(int worker) {
 uint64_t BlockManager::bytes_in_memory() const {
   MutexLock lock(&mu_);
   return bytes_in_memory_;
-}
-
-uint64_t BlockManager::bytes_mapped() const {
-  MutexLock lock(&mu_);
-  return bytes_mapped_;
 }
 
 size_t BlockManager::num_resident_blocks() const {

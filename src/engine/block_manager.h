@@ -59,24 +59,9 @@ class BlockManager {
   using SpillFn =
       std::function<Result<uint64_t>(const void*, const std::string&)>;
 
-  /// A payload read back from disk. `mapped_bytes` is how much of the
-  /// payload is file-backed (mmap) rather than owned heap memory — those
-  /// bytes stay outside the memory budget (the OS can drop and re-fault
-  /// them at will, so evicting them frees nothing) and are reported in
-  /// the bytes_mapped gauge instead. Implicitly constructible from a
-  /// bare DataPtr so loaders that decode into owned structures keep
-  /// their `return ptr;` shape.
-  struct Loaded {
-    DataPtr data;
-    uint64_t mapped_bytes = 0;
-
-    Loaded(DataPtr d) : data(std::move(d)) {}  // NOLINT(google-explicit-constructor)
-    Loaded(DataPtr d, uint64_t mapped)
-        : data(std::move(d)), mapped_bytes(mapped) {}
-  };
   /// Reads a block payload back from `path`; an error (file gone or
   /// corrupt) makes Get drop the block as lost.
-  using LoadFn = std::function<Result<Loaded>(const std::string&)>;
+  using LoadFn = std::function<Result<DataPtr>(const std::string&)>;
 
   struct GetResult {
     DataPtr data;           // null when the block is not available
@@ -96,8 +81,7 @@ class BlockManager {
   /// MEMORY_AND_DISK block is treated as MEMORY_ONLY, and a null-spill
   /// non-recomputable block (shuffle output) is pinned in memory.
   /// Replaces any previous payload under the same id. `content_hash` is
-  /// the block's content address (chunk-frame hash; 0 = unhashed) — it
-  /// keys the dedup index consulted by PutIfAbsent.
+  /// the block's content address (chunk-frame hash; 0 = unhashed).
   void Put(const BlockId& id, DataPtr data, uint64_t bytes, StorageLevel level,
            SpillFn spill, LoadFn load, bool recomputable = true,
            uint64_t content_hash = 0) EXCLUDES(mu_);
@@ -109,11 +93,8 @@ class BlockManager {
   /// Returns false when an existing payload was kept, so the caller knows
   /// its copy was discarded.
   ///
-  /// When `content_hash` is nonzero the commit is content-addressed:
-  /// keeping an identical existing payload (same id or a different id
-  /// indexed under the same hash) counts a shuffle_block_dedup_hits; a
-  /// different-id match stores no second copy — the new id shares the
-  /// existing block's payload, its bytes accounted as unowned.
+  /// Keeping an existing payload committed under the same nonzero
+  /// `content_hash` counts a shuffle_block_dedup_hits.
   bool PutIfAbsent(const BlockId& id, DataPtr data, uint64_t bytes,
                    StorageLevel level, SpillFn spill, LoadFn load,
                    bool recomputable = true, uint64_t content_hash = 0)
@@ -158,23 +139,13 @@ class BlockManager {
 
   uint64_t memory_budget() const { return budget_; }
   uint64_t bytes_in_memory() const EXCLUDES(mu_);
-  /// Resident bytes that are file-backed or shared with a
-  /// content-identical block — visible for tests; exported as the
-  /// bytes_mapped gauge.
-  uint64_t bytes_mapped() const EXCLUDES(mu_);
   size_t num_resident_blocks() const EXCLUDES(mu_);
 
  private:
   struct Block {
     DataPtr data;        // in-memory payload; null when evicted
     uint64_t bytes = 0;  // estimated in-memory size
-    uint64_t unowned_bytes = 0;  // of `bytes`, how much is NOT owned heap:
-                                 // file-backed mmap after a spill readback,
-                                 // or shared with a content-identical block
-                                 // (dedup). Unowned bytes don't count
-                                 // against the budget and evicting a fully
-                                 // unowned block frees nothing.
-    uint64_t content_hash = 0;   // chunk-frame content address; 0 = unhashed
+    uint64_t content_hash = 0;  // chunk-frame content address; 0 = unhashed
     StorageLevel level = StorageLevel::kMemoryOnly;
     bool on_disk = false;
     bool lost = false;         // dropped with no disk copy; next Get
@@ -190,8 +161,7 @@ class BlockManager {
   // All private helpers require mu_ (machine-checked via REQUIRES).
   void PutLocked(const BlockId& id, DataPtr data, uint64_t bytes,
                  StorageLevel level, SpillFn spill, LoadFn load,
-                 bool recomputable, uint64_t content_hash,
-                 uint64_t unowned_bytes) REQUIRES(mu_);
+                 bool recomputable, uint64_t content_hash) REQUIRES(mu_);
   Block* Find(const BlockId& id) REQUIRES(mu_);
   const Block* Find(const BlockId& id) const REQUIRES(mu_);
   void InsertResident(const BlockId& id, Block& b, DataPtr data)
@@ -226,13 +196,7 @@ class BlockManager {
       GUARDED_BY(mu_);
   // front = least recently used resident block
   std::list<BlockId> lru_ GUARDED_BY(mu_);
-  // Owned resident bytes (budgeted) vs unowned (mapped/shared) bytes.
   uint64_t bytes_in_memory_ GUARDED_BY(mu_) = 0;
-  uint64_t bytes_mapped_ GUARDED_BY(mu_) = 0;
-  // Content address -> one block id committed with that hash. Entries go
-  // stale when their block is dropped or replaced; lookups validate
-  // against the live block and prune lazily.
-  std::unordered_map<uint64_t, BlockId> content_index_ GUARDED_BY(mu_);
 };
 
 }  // namespace spangle

@@ -245,9 +245,18 @@ void Context::RunStage(const std::string& name, int n,
 
 void Context::RunJob(internal::NodeBase* root, const std::string& action,
                      int n, const std::function<void(int)>& fn) {
+  RunPlanned({root}, action,
+             [&](int attempt) { RunStage(action, n, fn, attempt); });
+  metrics_.jobs_run.fetch_add(1);
+}
+
+void Context::RunPlanned(const std::vector<internal::NodeBase*>& roots,
+                         const std::string& action,
+                         const std::function<void(int)>& result_stage) {
   // Runs under the caller's job id when one is bound (the JobServer's
   // dispatchers bind one id per served job so every StageStat of that
-  // job carries the same tenant-attributable id), else mints its own.
+  // job carries the same tenant-attributable id; a materialize-only job
+  // started inside another job joins it), else mints its own.
   const uint64_t ambient = internal::CurrentJobId();
   const uint64_t job_id =
       ambient != 0 ? ambient : next_job_id_.fetch_add(1) + 1;
@@ -268,22 +277,24 @@ void Context::RunJob(internal::NodeBase* root, const std::string& action,
     // Re-planning each attempt is what makes recovery stage-granular:
     // shuffles whose output survived report IsMaterialized() and are
     // skipped; only lost ones re-run from lineage.
-    PhysicalPlan plan = scheduler_.BuildPlan({root}, action);
+    PhysicalPlan plan = scheduler_.BuildPlan(roots, action);
     try {
       scheduler_.MaterializeShuffles(plan, serial_shuffle_materialization());
-      RunStage(action, n, fn, attempt);
+      if (result_stage) result_stage(attempt);
       break;
     } catch (const ShuffleBlockLostError& e) {
+      const std::string what = action.empty()
+                                   ? std::string("shuffle materialization")
+                                   : "job '" + action + "'";
       if (attempt + 1 >= max_attempts) {
-        throw JobFailedError("job '" + action + "' failed after " +
+        throw JobFailedError(what + " failed after " +
                              std::to_string(attempt + 1) +
                              " attempt(s): " + e.what());
       }
-      SPANGLE_LOG(Warning) << "job '" << action << "' attempt " << attempt
-                           << ": " << e.what() << "; re-planning";
+      SPANGLE_LOG(Warning) << what << " attempt " << attempt << ": "
+                           << e.what() << "; re-planning";
     }
   }
-  metrics_.jobs_run.fetch_add(1);
 }
 
 PhysicalPlan Context::BuildPlan(internal::NodeBase* root,
@@ -303,35 +314,10 @@ void Context::EnsureShuffleDependencies(internal::NodeBase* node) {
 
 void Context::EnsureShuffleDependencies(
     const std::vector<internal::NodeBase*>& roots) {
-  // Materialize-only job (no result stage). Runs under the caller's job
-  // id when one is active (e.g. called from RunJob), else under its own.
+  // Materialize-only job (no result stage); counted as a job of its own
+  // only when no caller's job is active.
   const bool in_job = internal::CurrentJobId() != 0;
-  const uint64_t job_id =
-      in_job ? internal::CurrentJobId() : next_job_id_.fetch_add(1) + 1;
-  internal::ScopedJobId job(job_id);
-  TraceContext job_trace = trace::Current();
-  if (trace_spans_.enabled() && job_trace.trace_id == 0) {
-    job_trace.trace_id = job_id;
-    job_trace.span_id = trace_spans_.NextSpanId();
-  }
-  trace::ScopedContext trace_scope(job_trace);
-  const FaultToleranceOptions opts = fault_options();
-  const int max_attempts = std::max(1, opts.max_job_attempts);
-  for (int attempt = 0;; ++attempt) {
-    PhysicalPlan plan = scheduler_.BuildPlan(roots, "");
-    try {
-      scheduler_.MaterializeShuffles(plan, serial_shuffle_materialization());
-      break;
-    } catch (const ShuffleBlockLostError& e) {
-      if (attempt + 1 >= max_attempts) {
-        throw JobFailedError("shuffle materialization failed after " +
-                             std::to_string(attempt + 1) +
-                             " attempt(s): " + e.what());
-      }
-      SPANGLE_LOG(Warning) << "materialization attempt " << attempt << ": "
-                           << e.what() << "; re-planning";
-    }
-  }
+  RunPlanned(roots, "", nullptr);
   if (!in_job) metrics_.jobs_run.fetch_add(1);
 }
 

@@ -240,6 +240,16 @@ class Context {
   uint64_t NowMicros() const { return pool_.NowMicros(); }
 
  private:
+  /// The job driver behind RunJob and EnsureShuffleDependencies: binds
+  /// the job id (the caller's when one is bound, else a fresh one) and
+  /// the job-root trace span, then plans `roots`, materializes their
+  /// pending shuffles and runs `result_stage(attempt)` (null for a
+  /// materialize-only job, whose `action` is ""), re-planning after a
+  /// lost shuffle block up to max_job_attempts times.
+  void RunPlanned(const std::vector<internal::NodeBase*>& roots,
+                  const std::string& action,
+                  const std::function<void(int)>& result_stage);
+
   ExecutorPool pool_;
   EngineMetrics metrics_;
   BlockManager block_manager_;  // after metrics_: holds a pointer to it
@@ -270,9 +280,9 @@ namespace internal {
 
 /// Encodes one partition into a chunk frame and credits the codec
 /// counters: raw (record-format) vs encoded bytes, and encode time.
-/// Every engine encode — shuffle materialization in both modes and
-/// cache spills — funnels through here so the compression ratio the
-/// metrics report covers all codec traffic.
+/// Every engine encode — DISTRIBUTED shuffle puts and spills — funnels
+/// through here so the compression ratio the metrics report covers all
+/// codec traffic.
 template <typename T>
 codec::EncodedFrame EncodePartitionTimed(EngineMetrics& metrics,
                                          const std::vector<T>& records) {
@@ -427,15 +437,12 @@ class Node : public NodeBase {
   /// node), the first committed payload wins and the later one is
   /// discarded — the commit is idempotent, so duplicated work never
   /// changes state.
-  /// `content_hash` is the partition's chunk-frame content address when
-  /// the caller already encoded it (shuffle outputs); 0 leaves the block
-  /// unhashed, outside the dedup index.
   void StoreBlock(int i, PartitionPtr data, StorageLevel level,
-                  bool recomputable, uint64_t content_hash = 0) {
+                  bool recomputable) {
     const uint64_t bytes = EstimateSize(*data);
     ctx()->block_manager().PutIfAbsent({id(), i}, std::move(data), bytes,
                                        level, MakeSpillFn(), MakeLoadFn(),
-                                       recomputable, content_hash);
+                                       recomputable);
   }
 
   /// Spills encode through the chunk-frame codec (same bytes a shuffle
@@ -459,13 +466,10 @@ class Node : public NodeBase {
   static BlockManager::LoadFn MakeLoadFn() {
     if constexpr (codec::kSpillable<T>) {
       return [](const std::string& path)
-                 -> Result<BlockManager::Loaded> {
-        // Decodes straight out of a transient mmap of the frame file
-        // (ReadPartitionFile) into owned vectors, so the re-admitted
-        // payload has no mapped bytes.
+                 -> Result<BlockManager::DataPtr> {
         auto records = codec::ReadPartitionFile<T>(path);
         SPANGLE_RETURN_NOT_OK(records.status());
-        return BlockManager::Loaded(
+        return BlockManager::DataPtr(
             std::make_shared<const std::vector<T>>(*std::move(records)));
       };
     } else {
@@ -797,16 +801,15 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
   void Commit(int r, std::vector<Record> records) {
     Context* ctx = this->ctx();
     // An unspillable record type stays pinned in memory (cannot spill,
-    // cannot be recomputed partition-by-partition mid-action) and
-    // unhashed (no byte codec to address the content with).
+    // cannot be recomputed partition-by-partition mid-action).
     StorageLevel level = StorageLevel::kMemoryOnly;
-    uint64_t content_hash = 0;
     if constexpr (codec::kSpillable<Record>) {
-      codec::EncodedFrame frame = EncodePartitionTimed(ctx->metrics(), records);
       if (ctx->distributed()) {
         // DISTRIBUTED data plane: the frame is shipped verbatim to the
         // owner daemon; nothing stays in the driver. The content hash
         // travels with it (daemon-side dedup + receipt validation).
+        codec::EncodedFrame frame =
+            EncodePartitionTimed(ctx->metrics(), records);
         std::vector<Record>().swap(records);  // the put needs only the frame
         const auto chaos = ctx->chaos_policy();
         const Status st =
@@ -823,18 +826,14 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
         }
         return;
       }
-      // LOCAL: the block lives in the block store like any cached
-      // partition — accounted against the budget, spillable to disk. The
-      // frame is encoded only for its content address (its bytes go at
-      // the end of this scope), so a later re-materialization (partial
-      // stage rerun, identically re-planned stage) commits as a counted
-      // dedup hit instead of a second copy.
+      // LOCAL: the records live in the block store like any cached
+      // partition — accounted against the budget, encoded only if they
+      // spill to disk.
       level = StorageLevel::kMemoryAndDisk;
-      content_hash = frame.content_hash;
     }
     this->StoreBlock(
         r, std::make_shared<const std::vector<Record>>(std::move(records)),
-        level, /*recomputable=*/false, content_hash);
+        level, /*recomputable=*/false);
   }
 
   std::shared_ptr<Node<Record>> parent_;

@@ -240,9 +240,6 @@ EngineMetrics::EngineMetrics()
   counter("spilled_bytes", "bytes", "Bytes written to spill files",
           &spilled_bytes);
   counter("disk_reads", "count", "Blocks read back from disk", &disk_reads);
-  gauge("bytes_mapped", "bytes",
-        "Resident block bytes that are file-backed (mmap), not owned",
-        &bytes_mapped);
   counter("shuffle_block_dedup_hits", "count",
           "Shuffle block commits deduplicated by content hash",
           &shuffle_block_dedup_hits);

@@ -255,10 +255,6 @@ class EngineMetrics {
   std::atomic<uint64_t> evictions{0};          // blocks evicted under budget
   std::atomic<uint64_t> spilled_bytes{0};      // bytes written to spill files
   std::atomic<uint64_t> disk_reads{0};         // blocks read back from disk
-  std::atomic<uint64_t> bytes_mapped{0};       // gauge: resident block bytes
-                                               // that are file-backed (mmap)
-                                               // rather than owned — outside
-                                               // the memory budget
   std::atomic<uint64_t> shuffle_block_dedup_hits{0};  // content-addressed
                                                       // commits folded into an
                                                       // identical stored block

@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "codec/chunk_frame.h"
-#include "codec/frame_buffer.h"
-#include "codec/frame_file.h"
-#include "codec/mmap_file.h"
+#include "codec/file_io.h"
 #include "engine/storage_level.h"
 
 namespace spangle {
@@ -22,28 +20,19 @@ StorageOptions DaemonStorage(uint64_t budget) {
   return options;
 }
 
-// Daemon blocks are opaque chunk frames (codec::FrameBuffer). The spill
-// codec writes the frame bytes verbatim; readback maps the file, so a
-// spilled-and-refetched block costs no owned memory (BlockManager
-// accounts the mapping as unowned bytes).
-Result<uint64_t> SpillFrameBuffer(const void* data, const std::string& path) {
-  const auto* buf = static_cast<const codec::FrameBuffer*>(data);
-  return codec::WriteWholeFile(buf->data(), buf->size(), path);
+// Daemon blocks are opaque chunk frames held as owned strings. The spill
+// codec writes the frame bytes verbatim and reads them back whole.
+Result<uint64_t> SpillFrame(const void* data, const std::string& path) {
+  return codec::WriteWholeFile(*static_cast<const std::string*>(data), path);
 }
 
 // An unreadable spill file is returned as an error: the block store drops
 // the block, its fetch finds nothing, and the job re-plans the shuffle.
-Result<BlockManager::Loaded> LoadFrameBuffer(const std::string& path) {
-  // The Result itself lives on the heap and the block aliases its value:
-  // moving a FrameBuffer out of a stack Result makes GCC's variant
-  // teardown trip -Wfree-nonheap-object (a false positive, but noise).
-  auto read = std::make_shared<const Result<codec::FrameBuffer>>(
-      codec::ReadFrameFile(path));
-  SPANGLE_RETURN_NOT_OK(read->status());
-  const codec::FrameBuffer& buf = **read;
-  const uint64_t mapped = buf.mapped() ? buf.size() : 0;
-  return BlockManager::Loaded(
-      std::shared_ptr<const codec::FrameBuffer>(read, &buf), mapped);
+Result<BlockManager::DataPtr> LoadFrame(const std::string& path) {
+  auto read = codec::ReadWholeFile(path);
+  SPANGLE_RETURN_NOT_OK(read.status());
+  return BlockManager::DataPtr(
+      std::make_shared<const std::string>(*std::move(read)));
 }
 
 }  // namespace
@@ -148,8 +137,7 @@ Status ExecutorDaemon::Handle(MessageType req_type,
                    serve_span);
       }
       const uint64_t bytes = req->bytes.size();
-      auto payload = std::make_shared<const codec::FrameBuffer>(
-          codec::FrameBuffer(std::move(req->bytes)));
+      auto payload = std::make_shared<const std::string>(std::move(req->bytes));
       PutBlockResponse out;
       if (req->content_hash != 0 &&
           blocks_.ContentHashOf(id) == req->content_hash) {
@@ -158,15 +146,13 @@ Status ExecutorDaemon::Handle(MessageType req_type,
         // count the dedup, and tell the driver its copy was discarded.
         out.deduped = !blocks_.PutIfAbsent(
             id, std::move(payload), bytes, StorageLevel::kMemoryAndDisk,
-            SpillFrameBuffer, LoadFrameBuffer,
-            /*recomputable=*/false, req->content_hash);
+            SpillFrame, LoadFrame, /*recomputable=*/false, req->content_hash);
       } else {
-        // Frames spill verbatim and map back, so a memory-pressured
+        // Frames spill verbatim and read back whole, so a memory-pressured
         // daemon pushes shuffle blocks to disk instead of dying.
         blocks_.Put(id, std::move(payload), bytes,
-                    StorageLevel::kMemoryAndDisk, SpillFrameBuffer,
-                    LoadFrameBuffer, /*recomputable=*/false,
-                    req->content_hash);
+                    StorageLevel::kMemoryAndDisk, SpillFrame, LoadFrame,
+                    /*recomputable=*/false, req->content_hash);
       }
       *resp_type = PutBlockResponse::kType;
       out.AppendTo(resp_payload);
@@ -184,9 +170,7 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       FetchBlockResponse resp;
       if (got.data != nullptr) {
         resp.found = true;
-        resp.bytes =
-            std::static_pointer_cast<const codec::FrameBuffer>(got.data)
-                ->ToString();
+        resp.bytes = *std::static_pointer_cast<const std::string>(got.data);
         resp.content_hash = blocks_.ContentHashOf(id);
       }
       *resp_type = FetchBlockResponse::kType;

@@ -12,9 +12,7 @@
 #include <cstring>
 #include <string>
 
-#include "codec/frame_buffer.h"
 #include "codec/hash.h"
-#include "codec/mmap_file.h"
 
 namespace spangle {
 namespace codec {
@@ -195,26 +193,6 @@ TEST(Hash64, KnownPropertiesHold) {
       << "seed must perturb the hash (chaining)";
   EXPECT_NE(Hash64(data, 0), Hash64(data, 0, 1))
       << "empty input must still mix the seed";
-}
-
-TEST(MmapFile, MapReadsBackWrittenBytes) {
-  const std::string path =
-      ::testing::TempDir() + "/spangle_codec_mmap_test.bin";
-  const std::string payload(10000, '\x42');
-  auto written = WriteWholeFile(payload, path);
-  ASSERT_TRUE(written.ok()) << written.status().ToString();
-  EXPECT_EQ(*written, payload.size());
-
-  auto mapped = MappedFile::Map(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_EQ(mapped->size(), payload.size());
-  EXPECT_EQ(std::memcmp(mapped->data(), payload.data(), payload.size()), 0);
-
-  FrameBuffer buf(std::move(*mapped));
-  EXPECT_TRUE(buf.mapped());
-  EXPECT_EQ(buf.ToString(), payload);
-  EXPECT_FALSE(MappedFile::Map(path + ".does-not-exist").ok());
-  ::remove(path.c_str());
 }
 
 }  // namespace

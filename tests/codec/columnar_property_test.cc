@@ -235,7 +235,7 @@ TEST(ColumnarCodec, TruncationAndCorruptionSurfaceAsStatus) {
   }
 }
 
-TEST(ColumnarCodec, SpillFileRoundTripPrefersMmap) {
+TEST(ColumnarCodec, SpillFileRoundTrip) {
   const auto records = SparsePairs(1500, 0.2, 5);
   const std::string path =
       ::testing::TempDir() + "/spangle_codec_frame_file_test.bin";
@@ -243,9 +243,8 @@ TEST(ColumnarCodec, SpillFileRoundTripPrefersMmap) {
   ASSERT_TRUE(written.ok()) << written.status().ToString();
   EXPECT_GT(*written, 0u);
 
-  auto buf = ReadFrameFile(path);
+  auto buf = ReadWholeFile(path);
   ASSERT_TRUE(buf.ok()) << buf.status().ToString();
-  EXPECT_TRUE(buf->mapped()) << "readback should be a zero-copy mapping";
   auto decoded = DecodePartitionFrame<std::pair<int64_t, double>>(
       buf->data(), buf->size());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();

@@ -388,5 +388,32 @@ TEST(DistributedModeTest, RemoteFetchTimeShowsUpInStageStats) {
   EXPECT_GT(per_stage_total, 0u);
 }
 
+/// Sum of one scraped daemon metric across the fleet.
+uint64_t FleetMetric(Context* ctx, const std::string& name) {
+  ctx->fleet()->ScrapeAll();
+  uint64_t total = 0;
+  for (const FleetExecutorStats& st : ctx->fleet()->ExecutorStats()) {
+    for (size_t i = 0; i < st.metric_names.size(); ++i) {
+      if (st.metric_names[i] == name) total += st.metric_values[i];
+    }
+  }
+  return total;
+}
+
+TEST(DistributedModeTest, DaemonSpillRoundTripMatchesLocal) {
+  // A daemon budget below one shuffle block: every put evicts the
+  // daemon's other blocks to disk and every fetch reads one back.
+  Context local(2, 4);
+  DeploymentOptions d = Distributed(2);
+  d.distributed.executor_memory_budget = 256;
+  Context dist(2, 4, 0, {}, d);
+  const auto want = CountByBucket(&local, 20000, 2000);
+  const auto got = CountByBucket(&dist, 20000, 2000);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(dist.metrics().remote_shuffle_fetches.load(), 0u);
+  EXPECT_GT(FleetMetric(&dist, "spilled_bytes"), 0u);
+  EXPECT_GT(FleetMetric(&dist, "disk_reads"), 0u);
+}
+
 }  // namespace
 }  // namespace spangle
