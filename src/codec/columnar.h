@@ -1,6 +1,8 @@
 #ifndef SPANGLE_CODEC_COLUMNAR_H_
 #define SPANGLE_CODEC_COLUMNAR_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -87,49 +89,52 @@ bool IsAllZeroBytes(const E& e) {
   return std::memcmp(&e, kZeros, sizeof(E)) == 0;
 }
 
-/// Encodes the whole key column as zigzag-delta varints into `scratch`
-/// in ONE pass, bailing out as soon as the varint bytes reach the raw
-/// column size (raw wins ties). Returns whether varint-delta won;
-/// `scratch` holds the encoded column when it did. Fused choose+encode:
-/// the separate size-counting pass costs as much as encoding, so the
-/// optimistic encode is free when varint wins (the sparse-shuffle common
-/// case) and bounded by the raw size when it loses.
+/// Whether the key column is written as zigzag-delta varints: only when
+/// they come out strictly smaller than the raw column (raw wins ties; an
+/// empty column counts as varint). Decided by counting varint sizes, no
+/// byte written, and the count stops as soon as the answer is certain —
+/// once it reaches the raw size, or once even maximal varints for every
+/// remaining key would stay below it — so the chosen encoding is then
+/// written once, straight into the frame.
 template <typename K, typename GetKey>
-bool EncodeKeysVarint(size_t n, const GetKey& get, std::string* scratch) {
+bool KeysFitVarint(size_t n, const GetKey& get) {
   const size_t raw_bytes = n * sizeof(K);
-  scratch->resize(raw_bytes + kMaxVarintBytes);
-  char* const base = scratch->data();
-  char* const limit = base + raw_bytes;
-  char* p = base;
+  size_t varint_bytes = 0;
   uint64_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
+    if (varint_bytes >= raw_bytes) return false;
+    if (varint_bytes + (n - i) * kMaxVarintBytes < raw_bytes) return true;
     const uint64_t cur = WidenKey<K>(get(i));
-    uint64_t zz = ZigZag(static_cast<int64_t>(cur - prev));
+    varint_bytes += VarintSize(ZigZag(static_cast<int64_t>(cur - prev)));
     prev = cur;
-    if (p >= limit) return false;  // already as big as raw; raw wins
-    while (zz >= 0x80) {
-      *p++ = static_cast<char>((zz & 0x7F) | 0x80);
-      zz >>= 7;
-    }
-    *p++ = static_cast<char>(zz);
   }
-  if (n > 0 && static_cast<size_t>(p - base) >= raw_bytes) return false;
-  scratch->resize(static_cast<size_t>(p - base));
-  return true;
+  return n == 0 || varint_bytes < raw_bytes;
 }
 
 template <typename K, typename GetKey>
 void WriteKeySection(FrameBuilder* b, size_t n, const GetKey& get,
-                     bool varint, const std::string& scratch) {
+                     bool varint) {
   b->BeginSection(SectionKind::kKeys, varint ? SectionEncoding::kVarintDelta
                                              : SectionEncoding::kRaw);
   std::string* out = b->buffer();
+  const size_t at = out->size();
+  // Varints were found to fit below the raw size, so raw bounds both.
+  out->resize(at + n * sizeof(K));
+  char* p = out->data() + at;
   if (varint) {
-    out->append(scratch);
+    uint64_t prev = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t cur = WidenKey<K>(get(i));
+      uint64_t zz = ZigZag(static_cast<int64_t>(cur - prev));
+      prev = cur;
+      while (zz >= 0x80) {
+        *p++ = static_cast<char>((zz & 0x7F) | 0x80);
+        zz >>= 7;
+      }
+      *p++ = static_cast<char>(zz);
+    }
+    out->resize(static_cast<size_t>(p - out->data()));
   } else {
-    const size_t at = out->size();
-    out->resize(at + n * sizeof(K));
-    char* p = out->data() + at;
     for (size_t i = 0; i < n; ++i) {
       const K k = get(i);
       std::memcpy(p, &k, sizeof(K));
@@ -139,121 +144,188 @@ void WriteKeySection(FrameBuilder* b, size_t n, const GetKey& get,
   b->EndSection();
 }
 
-template <typename K>
-Status DecodeKeySection(const SectionDesc& desc, const char* data, size_t n,
-                        std::vector<K>* keys) {
-  if (desc.kind != SectionKind::kKeys) {
-    return Status::InvalidArgument("expected a keys section");
+/// Whether a trivially-copyable column is zero-suppressed (a bitpacked
+/// presence mask plus only the not-all-zero elements): only when that
+/// beats the raw slab, i.e. when the all-zero elements outweigh the
+/// mask. Decided by a read-only count that stops once enough zeros are
+/// seen, so the mask and the compacted values are built only when
+/// suppression wins.
+template <typename E, typename GetVal>
+bool ZeroSuppressionWins(size_t n, const GetVal& get) {
+  const size_t mask_bytes = (n + 7) / 8;
+  size_t zero_bytes = 0;
+  for (size_t i = 0; i < n && zero_bytes <= mask_bytes; ++i) {
+    zero_bytes += IsAllZeroBytes<E>(get(i)) ? sizeof(E) : 0;
   }
-  keys->resize(n);
-  if (desc.encoding == SectionEncoding::kVarintDelta) {
-    size_t used = 0;
-    uint64_t prev = 0;
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t zz = 0;
-      // Small deltas (the common case by construction) are one byte.
-      if (used < desc.bytes &&
-          static_cast<unsigned char>(data[used]) < 0x80) {
-        zz = static_cast<unsigned char>(data[used]);
-        ++used;
-      } else if (!GetVarint(data + used, desc.bytes - used, &zz, &used)) {
-        return Status::InvalidArgument("truncated key varint");
-      }
-      prev += static_cast<uint64_t>(UnZigZag(zz));
-      (*keys)[i] = static_cast<K>(prev);
-      prev = WidenKey<K>((*keys)[i]);
-    }
-    if (used != desc.bytes) {
-      return Status::InvalidArgument("trailing bytes in key section");
-    }
-    return Status::OK();
-  }
-  if (desc.encoding != SectionEncoding::kRaw ||
-      desc.bytes != n * sizeof(K)) {
-    return Status::InvalidArgument("malformed raw key section");
-  }
-  if (n > 0) std::memcpy(keys->data(), data, n * sizeof(K));
-  return Status::OK();
+  return zero_bytes > mask_bytes;
 }
 
-/// ONE branchless scan over the value column: builds the bitpacked
-/// presence mask into `mask`, compacts the not-all-zero elements into
-/// `values`, and returns their count. Every element is stored
-/// unconditionally and the write pointer advances by a conditional move
-/// — at mid densities a per-element `if (nonzero)` branch is the
-/// encoder's dominant cost (mispredicted ~2·density·n times), while the
-/// extra unconditional stores are nearly free. The old choose/mask/write
-/// trio scanned the column three times; this is the only pass.
+/// Writes the column as chosen, straight into the frame. The
+/// zero-suppressed build is ONE branchless scan: it sets the presence
+/// bit and stores every element unconditionally, advancing the write
+/// pointer only past the nonzero ones (a per-element branch would be
+/// mispredicted ~2·density·n times at mid densities).
 template <typename E, typename GetVal>
-size_t BuildPresenceAndValues(size_t n, const GetVal& get, std::string* mask,
-                              std::string* values) {
-  mask->assign((n + 7) / 8, '\0');
-  values->resize(n * sizeof(E));
-  char* m = mask->data();
-  char* v = values->data();
-  size_t nonzero = 0;
+void WriteValueSections(FrameBuilder* b, size_t n, const GetVal& get,
+                        bool zero_suppress) {
+  std::string* out = b->buffer();
+  if (!zero_suppress) {
+    b->BeginSection(SectionKind::kValues, SectionEncoding::kRaw);
+    const size_t at = out->size();
+    out->resize(at + n * sizeof(E));
+    char* p = out->data() + at;
+    for (size_t i = 0; i < n; ++i) {
+      const E& e = get(i);
+      std::memcpy(p, &e, sizeof(E));
+      p += sizeof(E);
+    }
+    b->EndSection();
+    return;
+  }
+  b->BeginSection(SectionKind::kPresence, SectionEncoding::kBitpacked);
+  const size_t mask_at = out->size();
+  out->resize(mask_at + (n + 7) / 8);
+  b->EndSection();
+  b->BeginSection(SectionKind::kValues, SectionEncoding::kZeroSuppressed);
+  const size_t values_at = out->size();
+  // Room for every element plus one: the scan's last unconditional store
+  // may land just past the compacted values.
+  out->resize(values_at + (n + 1) * sizeof(E));
+  char* m = out->data() + mask_at;
+  char* v = out->data() + values_at;
   for (size_t i = 0; i < n; ++i) {
     const E& e = get(i);
     const unsigned nz = IsAllZeroBytes<E>(e) ? 0u : 1u;
     m[i / 8] |= static_cast<char>(nz << (i % 8));
     std::memcpy(v, &e, sizeof(E));
     v += nz * sizeof(E);
-    nonzero += nz;
   }
-  values->resize(nonzero * sizeof(E));
-  return nonzero;
-}
-
-/// Zero-suppression pays when the mask plus the surviving elements beat
-/// the raw slab.
-inline bool ZeroSuppressionWins(size_t mask_bytes, size_t nonzero,
-                                size_t elem_size, size_t n) {
-  return mask_bytes + nonzero * elem_size < n * elem_size;
-}
-
-template <typename E, typename GetVal>
-void WriteValueSections(FrameBuilder* b, size_t n, const GetVal& get,
-                        bool zero_suppress, const std::string& mask,
-                        const std::string& values) {
-  std::string* out = b->buffer();
-  if (zero_suppress) {
-    b->BeginSection(SectionKind::kPresence, SectionEncoding::kBitpacked);
-    out->append(mask);
-    b->EndSection();
-    b->BeginSection(SectionKind::kValues, SectionEncoding::kZeroSuppressed);
-    out->append(values);
-    b->EndSection();
-    return;
-  }
-  // Dense column: the raw slab needs the zero elements too, so it is
-  // re-walked from the records (a straight strided copy).
-  b->BeginSection(SectionKind::kValues, SectionEncoding::kRaw);
-  const size_t at = out->size();
-  out->resize(at + n * sizeof(E));
-  char* p = out->data() + at;
-  for (size_t i = 0; i < n; ++i) {
-    const E& e = get(i);
-    std::memcpy(p, &e, sizeof(E));
-    p += sizeof(E);
-  }
+  out->resize(static_cast<size_t>(v - out->data()));
   b->EndSection();
 }
 
-/// Decodes the value column that starts at section `s` of `view`; calls
-/// `put(i, E)` for each record. Advances *s past the consumed sections.
-template <typename E, typename PutVal>
-Status DecodeValueSections(const FrameView& view, int* s, size_t n,
-                           const PutVal& put) {
-  if (*s >= view.num_sections()) {
-    return Status::InvalidArgument("missing value section");
+/// Records decoded per block. Columns are expanded a block at a time
+/// and every record is then written whole, in one pass: writing the key
+/// column into the records and then the value column would store to
+/// each record twice. A multiple of 64, so a block is whole mask words.
+inline constexpr size_t kDecodeBlock = 256;
+
+/// Presence bits [base, base + 64) of a mask covering n records, as one
+/// little-endian word with the bits at and past n cleared.
+inline uint64_t MaskWord(const char* mask, size_t n, size_t base) {
+  uint64_t word = 0;
+  const size_t mask_bytes = (n + 7) / 8;
+  std::memcpy(&word, mask + base / 8,
+              std::min<size_t>(8, mask_bytes - base / 8));
+  const size_t len = n - base;
+  return len >= 64 ? word : word & ((uint64_t{1} << len) - 1);
+}
+
+/// Reads a key column block by block: Next() yields keys [begin, end)
+/// as contiguous sizeof(K)-byte elements, in place for a raw column and
+/// expanded into a block buffer for a varint one. Blocks must be asked
+/// for in order.
+template <typename K>
+class KeyColumn {
+ public:
+  // spangle-lint: untrusted — validates a wire section before any read.
+  Status Init(const SectionDesc& desc, const char* data, size_t n) {
+    if (desc.kind != SectionKind::kKeys) {
+      return Status::InvalidArgument("expected a keys section");
+    }
+    data_ = data;
+    bytes_ = desc.bytes;
+    varint_ = desc.encoding == SectionEncoding::kVarintDelta;
+    if (varint_) {
+      // Every key takes at least one byte: a record count the section
+      // cannot hold is rejected before the records are allocated.
+      if (n > desc.bytes) {
+        return Status::InvalidArgument("truncated key varint");
+      }
+      block_.resize(std::min(n, kDecodeBlock) * sizeof(K));
+      return Status::OK();
+    }
+    if (desc.encoding != SectionEncoding::kRaw ||
+        desc.bytes != n * sizeof(K)) {
+      return Status::InvalidArgument("malformed raw key section");
+    }
+    return Status::OK();
   }
-  const SectionDesc& first = view.section(*s);
-  if (first.kind == SectionKind::kPresence) {
+
+  // spangle-lint: untrusted — decodes wire varints, bounds-checked.
+  Status Next(size_t begin, size_t end, const char** out) {
+    if (!varint_) {
+      *out = data_ + begin * sizeof(K);
+      return Status::OK();
+    }
+    char* dst = block_.data();
+    for (size_t i = begin; i < end; ++i, dst += sizeof(K)) {
+      uint64_t zz = 0;
+      // Small deltas (the common case by construction) are one byte.
+      if (used_ < bytes_ && static_cast<unsigned char>(data_[used_]) < 0x80) {
+        zz = static_cast<unsigned char>(data_[used_]);
+        ++used_;
+      } else if (!GetVarint(data_ + used_, bytes_ - used_, &zz, &used_)) {
+        return Status::InvalidArgument("truncated key varint");
+      }
+      prev_ += static_cast<uint64_t>(UnZigZag(zz));
+      const K k = static_cast<K>(prev_);
+      std::memcpy(dst, &k, sizeof(K));
+      prev_ = WidenKey<K>(k);
+    }
+    *out = block_.data();
+    return Status::OK();
+  }
+
+  /// After the last block: a varint column must be used up exactly.
+  // spangle-lint: untrusted
+  Status Finish() const {
+    if (varint_ && used_ != bytes_) {
+      return Status::InvalidArgument("trailing bytes in key section");
+    }
+    return Status::OK();
+  }
+
+ private:
+  const char* data_ = nullptr;
+  size_t bytes_ = 0;
+  bool varint_ = false;
+  size_t used_ = 0;
+  uint64_t prev_ = 0;
+  std::string block_;
+};
+
+/// Reads a trivially-copyable column block by block, like KeyColumn: in
+/// place when raw; a zero-suppressed column is expanded a mask word (64
+/// records) at a time. Init checks that the mask accounts for the values
+/// exactly, so Next never fails.
+template <typename E>
+class ValueColumn {
+ public:
+  /// Takes the column starting at section *s of `view`; advances *s past
+  /// its section(s).
+  // spangle-lint: untrusted — validates wire sections before any read.
+  Status Init(const FrameView& view, int* s, size_t n) {
+    if (*s >= view.num_sections()) {
+      return Status::InvalidArgument("missing value section");
+    }
+    const SectionDesc& first = view.section(*s);
+    n_ = n;
+    if (first.kind != SectionKind::kPresence) {
+      if (first.kind != SectionKind::kValues ||
+          first.encoding != SectionEncoding::kRaw ||
+          first.bytes != n * sizeof(E)) {
+        return Status::InvalidArgument("malformed raw value section");
+      }
+      data_ = view.section_data(*s);
+      ++*s;
+      return Status::OK();
+    }
     if (first.encoding != SectionEncoding::kBitpacked ||
         first.bytes != (n + 7) / 8) {
       return Status::InvalidArgument("malformed presence section");
     }
-    const char* mask = view.section_data(*s);
+    mask_ = view.section_data(*s);
     ++*s;
     if (*s >= view.num_sections()) {
       return Status::InvalidArgument("presence section without values");
@@ -263,47 +335,56 @@ Status DecodeValueSections(const FrameView& view, int* s, size_t n,
         vals.encoding != SectionEncoding::kZeroSuppressed) {
       return Status::InvalidArgument("expected zero-suppressed values");
     }
-    const char* data = view.section_data(*s);
-    // An absent value decodes to all-zero bytes, exactly what the
-    // encoder's byte-level zero test saw (value-initialization would not
-    // promise that for a type with non-zero member initializers).
-    static constexpr char kZeroBytes[sizeof(E)] = {};
-    size_t offset = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const char* src = kZeroBytes;
-      const bool present =
-          (static_cast<unsigned char>(mask[i / 8]) >> (i % 8)) & 1u;
-      if (present) {
-        if (vals.bytes - offset < sizeof(E)) {
-          return Status::InvalidArgument("zero-suppressed values truncated");
-        }
-        src = data + offset;
-        offset += sizeof(E);
-      }
-      E e;
-      std::memcpy(&e, src, sizeof(E));
-      put(i, e);
+    size_t present = 0;
+    for (size_t base = 0; base < n; base += 64) {
+      present += static_cast<size_t>(std::popcount(MaskWord(mask_, n, base)));
     }
-    if (offset != vals.bytes) {
+    if (vals.bytes / sizeof(E) < present) {
+      return Status::InvalidArgument("zero-suppressed values truncated");
+    }
+    if (vals.bytes != present * sizeof(E)) {
       return Status::InvalidArgument("trailing zero-suppressed values");
     }
+    data_ = view.section_data(*s);
     ++*s;
+    block_.resize(std::min(n, kDecodeBlock) * sizeof(E));
     return Status::OK();
   }
-  if (first.kind != SectionKind::kValues ||
-      first.encoding != SectionEncoding::kRaw ||
-      first.bytes != n * sizeof(E)) {
-    return Status::InvalidArgument("malformed raw value section");
+
+  /// Values [begin, end) as contiguous sizeof(E)-byte elements; `begin`
+  /// is a multiple of 64.
+  const char* Next(size_t begin, size_t end) {
+    if (mask_ == nullptr) return data_ + begin * sizeof(E);
+    // An absent value decodes to all-zero bytes, exactly what the
+    // encoder's byte-level zero test saw; the present ones are then
+    // copied over the zeros, a run for a full mask word, else one set
+    // bit at a time.
+    char* const block = block_.data();
+    std::memset(block, 0, (end - begin) * sizeof(E));
+    for (size_t base = begin; base < end; base += 64) {
+      uint64_t word = MaskWord(mask_, n_, base);
+      char* const dst = block + (base - begin) * sizeof(E);
+      if (word == ~uint64_t{0}) {
+        std::memcpy(dst, data_, 64 * sizeof(E));
+        data_ += 64 * sizeof(E);
+        continue;
+      }
+      for (; word != 0; word &= word - 1) {
+        const int j = std::countr_zero(word);
+        std::memcpy(dst + static_cast<size_t>(j) * sizeof(E), data_,
+                    sizeof(E));
+        data_ += sizeof(E);
+      }
+    }
+    return block;
   }
-  const char* data = view.section_data(*s);
-  for (size_t i = 0; i < n; ++i) {
-    E e{};
-    std::memcpy(&e, data + i * sizeof(E), sizeof(E));
-    put(i, e);
-  }
-  ++*s;
-  return Status::OK();
-}
+
+ private:
+  const char* data_ = nullptr;  // raw slab, or the next present value
+  const char* mask_ = nullptr;  // null for a raw column
+  size_t n_ = 0;
+  std::string block_;
+};
 
 template <typename E, typename GetVal>
 void WriteRecordSection(FrameBuilder* b, size_t n, const GetVal& get) {
@@ -340,7 +421,9 @@ Status DecodeRecordSection(const FrameView& view, int* s, size_t n,
 
 }  // namespace columnar_detail
 
-/// Encodes one partition into a columnar chunk frame.
+/// Encodes one partition into a columnar chunk frame. Each column's
+/// encoding is chosen by a read-only scan first, then written once,
+/// straight into the frame.
 template <typename T>
 EncodedFrame EncodePartitionFrame(const std::vector<T>& records) {
   namespace cd = columnar_detail;
@@ -357,27 +440,21 @@ EncodedFrame EncodePartitionFrame(const std::vector<T>& records) {
     const auto val_at = [&](size_t i) -> const V& {
       return records[i].second;
     };
-    std::string key_scratch;
-    const bool key_varint = cd::EncodeKeysVarint<K>(n, key_at, &key_scratch);
-    const size_t key_bytes = key_varint ? key_scratch.size() : n * sizeof(K);
+    const bool varint = cd::KeysFitVarint<K>(n, key_at);
     if constexpr (std::is_trivially_copyable_v<V>) {
-      std::string mask, values;
-      const size_t nonzero =
-          cd::BuildPresenceAndValues<V>(n, val_at, &mask, &values);
-      const bool zero_suppress =
-          cd::ZeroSuppressionWins(mask.size(), nonzero, sizeof(V), n);
+      const bool zero_suppress = cd::ZeroSuppressionWins<V>(n, val_at);
       FrameBuilder b(count, zero_suppress ? 3 : 2);
-      b.buffer()->reserve(
-          b.buffer()->size() + key_bytes +
-          (zero_suppress ? mask.size() + values.size() : n * sizeof(V)));
-      cd::WriteKeySection<K>(&b, n, key_at, key_varint, key_scratch);
-      cd::WriteValueSections<V>(&b, n, val_at, zero_suppress, mask, values);
+      // The largest either column can take while being written.
+      b.buffer()->reserve(b.buffer()->size() + n * sizeof(K) + (n + 7) / 8 +
+                          (n + 1) * sizeof(V));
+      cd::WriteKeySection<K>(&b, n, key_at, varint);
+      cd::WriteValueSections<V>(&b, n, val_at, zero_suppress);
       out.bytes = b.Finish(&out.content_hash);
       // Legacy format: uint32 count + whole-pair memcpy per record.
       out.raw_bytes = sizeof(uint32_t) + n * sizeof(T);
     } else {
       FrameBuilder b(count, 2);
-      cd::WriteKeySection<K>(&b, n, key_at, key_varint, key_scratch);
+      cd::WriteKeySection<K>(&b, n, key_at, varint);
       const size_t before = b.buffer()->size();
       cd::WriteRecordSection<V>(&b, n, val_at);
       const size_t value_record_bytes = b.buffer()->size() - before;
@@ -386,21 +463,17 @@ EncodedFrame EncodePartitionFrame(const std::vector<T>& records) {
     }
   } else if constexpr (cd::kVarintKey<T>) {
     const auto key_at = [&](size_t i) { return records[i]; };
-    std::string key_scratch;
-    const bool key_varint = cd::EncodeKeysVarint<T>(n, key_at, &key_scratch);
     FrameBuilder b(count, 1);
-    cd::WriteKeySection<T>(&b, n, key_at, key_varint, key_scratch);
+    cd::WriteKeySection<T>(&b, n, key_at, cd::KeysFitVarint<T>(n, key_at));
     out.bytes = b.Finish(&out.content_hash);
     out.raw_bytes = sizeof(uint32_t) + n * sizeof(T);
   } else if constexpr (std::is_trivially_copyable_v<T>) {
     const auto val_at = [&](size_t i) -> const T& { return records[i]; };
-    std::string mask, values;
-    const size_t nonzero =
-        cd::BuildPresenceAndValues<T>(n, val_at, &mask, &values);
-    const bool zero_suppress =
-        cd::ZeroSuppressionWins(mask.size(), nonzero, sizeof(T), n);
+    const bool zero_suppress = cd::ZeroSuppressionWins<T>(n, val_at);
     FrameBuilder b(count, zero_suppress ? 2 : 1);
-    cd::WriteValueSections<T>(&b, n, val_at, zero_suppress, mask, values);
+    b.buffer()->reserve(b.buffer()->size() + (n + 7) / 8 +
+                        (n + 1) * sizeof(T));
+    cd::WriteValueSections<T>(&b, n, val_at, zero_suppress);
     out.bytes = b.Finish(&out.content_hash);
     out.raw_bytes = sizeof(uint32_t) + n * sizeof(T);
   } else {
@@ -415,7 +488,9 @@ EncodedFrame EncodePartitionFrame(const std::vector<T>& records) {
   return out;
 }
 
-/// Decodes a partition from an already-parsed frame view.
+/// Decodes a partition from an already-parsed frame view, a block of
+/// records at a time: each column yields the block's elements (read in
+/// place when raw) and the records are then written whole.
 template <typename T>
 Result<std::vector<T>> DecodePartitionFrame(const FrameView& view) {
   namespace cd = columnar_detail;
@@ -429,34 +504,66 @@ Result<std::vector<T>> DecodePartitionFrame(const FrameView& view) {
     if (view.num_sections() < 2) {
       return Status::InvalidArgument("key-column frame needs >= 2 sections");
     }
-    std::vector<K> keys;
-    SPANGLE_RETURN_NOT_OK(cd::DecodeKeySection<K>(
-        view.section(0), view.section_data(0), n, &keys));
+    cd::KeyColumn<K> keys;
+    SPANGLE_RETURN_NOT_OK(keys.Init(view.section(0), view.section_data(0), n));
     s = 1;
     if constexpr (std::is_trivially_copyable_v<V>) {
+      cd::ValueColumn<V> values;
+      SPANGLE_RETURN_NOT_OK(values.Init(view, &s, n));
       records.resize(n);
-      const auto put = [&](size_t i, V v) { records[i] = T(keys[i], v); };
-      SPANGLE_RETURN_NOT_OK(cd::DecodeValueSections<V>(view, &s, n, put));
+      for (size_t begin = 0; begin < n; begin += cd::kDecodeBlock) {
+        const size_t end = std::min(n, begin + cd::kDecodeBlock);
+        const char* k = nullptr;
+        SPANGLE_RETURN_NOT_OK(keys.Next(begin, end, &k));
+        const char* v = values.Next(begin, end);
+        for (size_t i = begin; i < end; ++i) {
+          std::memcpy(&records[i].first, k, sizeof(K));
+          std::memcpy(&records[i].second, v, sizeof(V));
+          k += sizeof(K);
+          v += sizeof(V);
+        }
+      }
     } else {
+      std::vector<K> key_column(n);
+      for (size_t begin = 0; begin < n; begin += cd::kDecodeBlock) {
+        const size_t end = std::min(n, begin + cd::kDecodeBlock);
+        const char* k = nullptr;
+        SPANGLE_RETURN_NOT_OK(keys.Next(begin, end, &k));
+        std::memcpy(key_column.data() + begin, k, (end - begin) * sizeof(K));
+      }
       // emplace in record order (the section is walked sequentially), so
       // V need not be default-constructible.
       records.reserve(n);
       const auto put = [&](size_t i, V v) {
-        records.emplace_back(keys[i], std::move(v));
+        records.emplace_back(key_column[i], std::move(v));
       };
       SPANGLE_RETURN_NOT_OK(cd::DecodeRecordSection<V>(view, &s, n, put));
     }
+    SPANGLE_RETURN_NOT_OK(keys.Finish());
   } else if constexpr (cd::kVarintKey<T>) {
     if (view.num_sections() != 1) {
       return Status::InvalidArgument("integral frame needs one section");
     }
-    SPANGLE_RETURN_NOT_OK(cd::DecodeKeySection<T>(
-        view.section(0), view.section_data(0), n, &records));
+    cd::KeyColumn<T> keys;
+    SPANGLE_RETURN_NOT_OK(keys.Init(view.section(0), view.section_data(0), n));
     s = 1;
-  } else if constexpr (std::is_trivially_copyable_v<T>) {
     records.resize(n);
-    const auto put = [&](size_t i, T v) { records[i] = v; };
-    SPANGLE_RETURN_NOT_OK(cd::DecodeValueSections<T>(view, &s, n, put));
+    for (size_t begin = 0; begin < n; begin += cd::kDecodeBlock) {
+      const size_t end = std::min(n, begin + cd::kDecodeBlock);
+      const char* k = nullptr;
+      SPANGLE_RETURN_NOT_OK(keys.Next(begin, end, &k));
+      std::memcpy(records.data() + begin, k, (end - begin) * sizeof(T));
+    }
+    SPANGLE_RETURN_NOT_OK(keys.Finish());
+  } else if constexpr (std::is_trivially_copyable_v<T>) {
+    cd::ValueColumn<T> values;
+    SPANGLE_RETURN_NOT_OK(values.Init(view, &s, n));
+    records.resize(n);
+    for (size_t begin = 0; begin < n; begin += cd::kDecodeBlock) {
+      const size_t end = std::min(n, begin + cd::kDecodeBlock);
+      std::memcpy(static_cast<void*>(records.data() + begin),
+                  values.Next(begin, end), (end - begin) * sizeof(T));
+    }
   } else {
     records.reserve(n);
     const auto put = [&](size_t i, T v) {

@@ -22,6 +22,9 @@ Result<uint64_t> WriteWholeFile(const char* data, size_t size,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot create " + path);
   out.write(data, static_cast<std::streamsize>(size));
+  // A small write sits in the stream buffer until close; a full disk
+  // (ENOSPC, EFBIG) only shows there, so close before judging.
+  out.close();
   if (!out) return Status::IOError("write failed: " + path);
   return static_cast<uint64_t>(size);
 }

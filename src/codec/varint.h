@@ -1,6 +1,7 @@
 #ifndef SPANGLE_CODEC_VARINT_H_
 #define SPANGLE_CODEC_VARINT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -23,14 +24,10 @@ inline void PutVarint(uint64_t v, std::string* out) {
   out->push_back(static_cast<char>(v));
 }
 
-/// Encoded size of `v` without materializing it (encoding-choice scans).
+/// Encoded size of `v` without materializing it (encoding-choice scans):
+/// one byte per started group of 7 significant bits, branch-free.
 inline size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  return 1 + static_cast<size_t>(63 - std::countl_zero(v | 1)) / 7;
 }
 
 /// Decodes one varint from data[0, size); advances *consumed past it.

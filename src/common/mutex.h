@@ -68,8 +68,8 @@ namespace spangle {
 ///        |   maps, PutIfAbsent commit)           | (no engine locks)
 ///   20   | RuntimeProfile::samples_mu_           | metrics atomics only
 ///   16   | Context::fault_mu_ (retry/chaos opts) | nothing
-///   12   | RpcClient::mu_ (call serialization)   | socket I/O + metrics
-///        |                                       | atomics only
+///   12   | RpcClient::mu_ (connection pool)      | nothing (calls do their
+///        |                                       | I/O outside the lock)
 ///    8   | EngineMetrics::stage_mu_ (StageStat   | nothing
 ///        |   retention ring)                     |
 ///    4   | ResultCache::mu_ (result_cache.cc,    | metrics atomics only

@@ -763,16 +763,17 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
   std::vector<Record> ComputePartition(int i) override {
     if constexpr (codec::kSpillable<Record>) {
       if (this->ctx()->distributed()) {
-        auto bytes = this->ctx()->remote_shuffle()->FetchEncoded(this->id(), i);
-        if (!bytes.has_value()) {
+        auto frame = this->ctx()->remote_shuffle()->FetchEncoded(this->id(), i);
+        if (!frame.has_value()) {
           // The owner daemon died (or restarted empty) after this job was
           // planned — or the fetched frame failed content-hash validation
           // (wire corruption). Same recovery as a local fetch failure
           // below.
           throw ShuffleBlockLostError({this->id()});
         }
-        auto records = codec::DecodePartitionFrame<Record>(bytes->data(),
-                                                           bytes->size());
+        // FetchEncoded hashed the frame once already; do not again.
+        auto records = codec::DecodePartitionFrame<Record>(
+            frame->data(), frame->size(), /*verify_hash=*/false);
         if (!records.ok()) {
           // A structurally corrupt frame that still hash-validated can
           // only come from a damaged daemon store; treat it as a lost
@@ -816,9 +817,8 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
             chaos != nullptr && chaos->fail_store &&
                     chaos->fail_store(this->id(), r)
                 ? Status::IOError("shuffle store refused by chaos policy")
-                : ctx->remote_shuffle()->StoreEncoded(this->id(), r,
-                                                      std::move(frame.bytes),
-                                                      frame.content_hash);
+                : ctx->remote_shuffle()->StoreEncoded(
+                      this->id(), r, frame.bytes, frame.content_hash);
         if (!st.ok()) {
           SPANGLE_LOG(Warning) << "shuffle store of (" << this->id() << ", "
                                << r << ") failed: " << st.ToString();

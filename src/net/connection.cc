@@ -1,25 +1,34 @@
 #include "net/connection.h"
 
+#include <sys/uio.h>
+
+#include <vector>
+
 namespace spangle {
 namespace net {
 
-Status Connection::Send(MessageType type, const std::string& payload) {
-  if (payload.size() > kMaxFramePayload) {
-    return Status::OutOfRange("frame payload " +
-                              std::to_string(payload.size()) +
+Status Connection::Send(MessageType type,
+                        std::initializer_list<std::string_view> parts) {
+  size_t payload_len = 0;
+  for (std::string_view part : parts) payload_len += part.size();
+  if (payload_len > kMaxFramePayload) {
+    return Status::OutOfRange("frame payload " + std::to_string(payload_len) +
                               " bytes exceeds limit");
   }
-  // One header write + one payload write: the payload (a shuffle block)
-  // can be megabytes, so it is not copied into a combined buffer.
   std::string header;
   header.reserve(kFrameHeaderBytes);
-  AppendFrameHeader(type, static_cast<uint32_t>(payload.size()), &header);
-  SPANGLE_RETURN_NOT_OK(socket_.SendAll(header.data(), header.size()));
-  if (!payload.empty()) {
-    SPANGLE_RETURN_NOT_OK(socket_.SendAll(payload.data(), payload.size()));
+  AppendFrameHeader(type, static_cast<uint32_t>(payload_len), &header);
+  std::vector<iovec> iov;
+  iov.reserve(1 + parts.size());
+  iov.push_back({header.data(), header.size()});
+  for (std::string_view part : parts) {
+    // iovec is the kernel's read-only-in-practice view; sendmsg never
+    // writes through it.
+    iov.push_back({const_cast<char*>(part.data()), part.size()});
   }
+  SPANGLE_RETURN_NOT_OK(socket_.SendAllv(iov.data(), iov.size()));
   if (counters_.sent != nullptr) {
-    counters_.sent->fetch_add(kFrameHeaderBytes + payload.size(),
+    counters_.sent->fetch_add(kFrameHeaderBytes + payload_len,
                               std::memory_order_relaxed);
   }
   return Status::OK();

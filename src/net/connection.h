@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/status.h"
@@ -25,9 +27,14 @@ struct ByteCounters {
 /// One framed-message connection: Send() writes header + payload, Recv()
 /// reads and validates exactly one frame. Same thread contract as Socket;
 /// ShutdownBoth() is the cross-thread unblock hook.
+///
+/// A payload is sent as parts written back to back (for a data-plane
+/// message: the fields before its frame, the frame, the fields after
+/// it), gathered by one sendmsg. The frame goes out from wherever it
+/// lives — the encoder's string, the daemon's stored block — and is
+/// never copied into a message buffer.
 class Connection {
  public:
-  Connection() = default;
   explicit Connection(Socket socket, ByteCounters counters = {})
       : socket_(std::move(socket)), counters_(counters) {}
 
@@ -36,10 +43,10 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  bool valid() const { return socket_.valid(); }
-  Socket& socket() { return socket_; }
-
-  Status Send(MessageType type, const std::string& payload);
+  /// Sends one frame whose payload is `parts` back to back; fails with
+  /// OutOfRange, before writing anything, when they exceed
+  /// kMaxFramePayload.
+  Status Send(MessageType type, std::initializer_list<std::string_view> parts);
 
   /// Receives one frame; fails on short reads, bad headers, or payloads
   /// over kMaxFramePayload.

@@ -20,10 +20,12 @@ StorageOptions DaemonStorage(uint64_t budget) {
   return options;
 }
 
-// Daemon blocks are opaque chunk frames held as owned strings. The spill
-// codec writes the frame bytes verbatim and reads them back whole.
+// A daemon block is the PutBlock request payload as received, with the
+// frame located inside it: keeping the payload avoids copying the frame
+// out. The spill codec writes only the frame and reads it back whole.
 Result<uint64_t> SpillFrame(const void* data, const std::string& path) {
-  return codec::WriteWholeFile(*static_cast<const std::string*>(data), path);
+  const auto* block = static_cast<const SlicedPayload*>(data);
+  return codec::WriteWholeFile(block->data(), block->size(), path);
 }
 
 // An unreadable spill file is returned as an error: the block store drops
@@ -31,8 +33,9 @@ Result<uint64_t> SpillFrame(const void* data, const std::string& path) {
 Result<BlockManager::DataPtr> LoadFrame(const std::string& path) {
   auto read = codec::ReadWholeFile(path);
   SPANGLE_RETURN_NOT_OK(read.status());
-  return BlockManager::DataPtr(
-      std::make_shared<const std::string>(*std::move(read)));
+  const size_t size = read->size();
+  return BlockManager::DataPtr(std::make_shared<const SlicedPayload>(
+      *std::move(read), PayloadSlice{0, size}));
 }
 
 }  // namespace
@@ -81,9 +84,8 @@ void ExecutorDaemon::RecordSpan(uint64_t trace_id, const char* name,
 Status ExecutorDaemon::Start() {
   return server_.Start(
       requested_port_,
-      [this](MessageType req_type, const std::string& req_payload,
-             MessageType* resp_type, std::string* resp_payload) {
-        return Handle(req_type, req_payload, resp_type, resp_payload);
+      [this](MessageType req_type, std::string req_payload, RpcReply* reply) {
+        return Handle(req_type, std::move(req_payload), reply);
       });
 }
 
@@ -107,28 +109,28 @@ void ExecutorDaemon::Stop() {
   server_.Stop();
 }
 
-Status ExecutorDaemon::Handle(MessageType req_type,
-                              const std::string& req_payload,
-                              MessageType* resp_type,
-                              std::string* resp_payload) {
+Status ExecutorDaemon::Handle(MessageType req_type, std::string req_payload,
+                              RpcReply* reply) {
   switch (req_type) {
     case MessageType::kPutBlockRequest: {
       const uint64_t serve_start = NowMicros();
-      auto req = PutBlockRequest::Parse(req_payload.data(),
-                                        req_payload.size());
+      // Parsed in place: the payload itself becomes the stored block.
+      auto req = PutBlockRequestView::Parse(req_payload.data(),
+                                            req_payload.size());
       SPANGLE_RETURN_NOT_OK(req.status());
       const uint64_t serve_span =
           req->trace.trace_id != 0 ? spans_.NextSpanId() : 0;
       const BlockId id{req->node, req->partition};
+      const char* frame = req_payload.data() + req->bytes.offset;
+      const uint64_t bytes = req->bytes.size;
       // Receipt validation: re-hash the frame and compare against the
       // sender's content address. A mismatch means the bytes were
       // corrupted between the driver's encoder and here; refusing the
       // store turns silent corruption into a retryable RPC error.
       if (req->content_hash != 0) {
         const uint64_t verify_start = NowMicros();
-        if (req->bytes.size() < codec::kFrameHeaderBytes ||
-            codec::ComputeFrameHash(req->bytes.data(), req->bytes.size()) !=
-                req->content_hash) {
+        if (bytes < codec::kFrameHeaderBytes ||
+            codec::ComputeFrameHash(frame, bytes) != req->content_hash) {
           return Status::IOError(
               "PutBlock: frame content hash mismatch (corrupted in flight)");
         }
@@ -136,8 +138,8 @@ Status ExecutorDaemon::Handle(MessageType req_type,
                    req->trace.trace_id != 0 ? spans_.NextSpanId() : 0,
                    serve_span);
       }
-      const uint64_t bytes = req->bytes.size();
-      auto payload = std::make_shared<const std::string>(std::move(req->bytes));
+      auto payload = std::make_shared<const SlicedPayload>(
+          std::move(req_payload), req->bytes);
       PutBlockResponse out;
       if (req->content_hash != 0 &&
           blocks_.ContentHashOf(id) == req->content_hash) {
@@ -154,8 +156,8 @@ Status ExecutorDaemon::Handle(MessageType req_type,
                     StorageLevel::kMemoryAndDisk, SpillFrame, LoadFrame,
                     /*recomputable=*/false, req->content_hash);
       }
-      *resp_type = PutBlockResponse::kType;
-      out.AppendTo(resp_payload);
+      reply->type = PutBlockResponse::kType;
+      out.AppendTo(&reply->head);
       RecordSpan(req->trace.trace_id, "serve_put", serve_start, serve_span,
                  req->trace.span_id);
       return Status::OK();
@@ -169,12 +171,16 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       const auto got = blocks_.Get(id);
       FetchBlockResponse resp;
       if (got.data != nullptr) {
+        // The stored frame goes out between the reply's head and tail,
+        // straight from the block (pinned until it is written).
         resp.found = true;
-        resp.bytes = *std::static_pointer_cast<const std::string>(got.data);
         resp.content_hash = blocks_.ContentHashOf(id);
+        reply->body = static_cast<const SlicedPayload*>(got.data.get())->view();
+        reply->pin = got.data;
       }
-      *resp_type = FetchBlockResponse::kType;
-      resp.AppendTo(resp_payload);
+      reply->type = FetchBlockResponse::kType;
+      resp.AppendHead(reply->body.size(), &reply->head);
+      resp.AppendTail(&reply->tail);
       RecordSpan(req->trace.trace_id, "serve_fetch", serve_start,
                  req->trace.trace_id != 0 ? spans_.NextSpanId() : 0,
                  req->trace.span_id);
@@ -186,8 +192,8 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       SPANGLE_RETURN_NOT_OK(req.status());
       ProbeBlockResponse resp;
       resp.found = blocks_.Contains(BlockId{req->node, req->partition});
-      *resp_type = ProbeBlockResponse::kType;
-      resp.AppendTo(resp_payload);
+      reply->type = ProbeBlockResponse::kType;
+      resp.AppendTo(&reply->head);
       return Status::OK();
     }
     case MessageType::kHeartbeatRequest: {
@@ -199,8 +205,8 @@ Status ExecutorDaemon::Handle(MessageType req_type,
       resp.blocks_held = blocks_.num_resident_blocks();
       resp.bytes_in_memory = blocks_.bytes_in_memory();
       resp.now_us = NowMicros();
-      *resp_type = HeartbeatResponse::kType;
-      resp.AppendTo(resp_payload);
+      reply->type = HeartbeatResponse::kType;
+      resp.AppendTo(&reply->head);
       return Status::OK();
     }
     case MessageType::kStatsRequest: {
@@ -235,8 +241,8 @@ Status ExecutorDaemon::Handle(MessageType req_type,
         resp.spans.push_back({s.trace_id, s.span_id, s.parent_span_id,
                               s.name, s.start_us, s.duration_us});
       }
-      *resp_type = StatsResponse::kType;
-      resp.AppendTo(resp_payload);
+      reply->type = StatsResponse::kType;
+      resp.AppendTo(&reply->head);
       return Status::OK();
     }
     case MessageType::kShutdownRequest: {
@@ -248,8 +254,8 @@ Status ExecutorDaemon::Handle(MessageType req_type,
         stopping_ = true;
       }
       stop_cv_.NotifyAll();
-      *resp_type = ShutdownResponse::kType;
-      ShutdownResponse().AppendTo(resp_payload);
+      reply->type = ShutdownResponse::kType;
+      ShutdownResponse().AppendTo(&reply->head);
       return Status::OK();
     }
     default:

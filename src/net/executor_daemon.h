@@ -27,9 +27,10 @@ struct ExecutorDaemonOptions {
 /// server. The spangle_executord binary hosts one of these per process;
 /// tests may also run one in-process. Blocks arrive already encoded (the
 /// driver runs the spill codec before PutBlock), so the daemon stores
-/// opaque byte strings pinned in memory — when the process dies, its
-/// shard of the shuffle genuinely disappears and the driver must recover
-/// through lineage.
+/// opaque frames — each kept inside the PutBlock payload it arrived in —
+/// and sends them back from there. When the process dies, its shard of
+/// the shuffle genuinely disappears and the driver must recover through
+/// lineage.
 class ExecutorDaemon {
  public:
   explicit ExecutorDaemon(const ExecutorDaemonOptions& options);
@@ -58,8 +59,8 @@ class ExecutorDaemon {
   SpanRecorder& spans() { return spans_; }
 
  private:
-  Status Handle(MessageType req_type, const std::string& req_payload,
-                MessageType* resp_type, std::string* resp_payload);
+  Status Handle(MessageType req_type, std::string req_payload,
+                RpcReply* reply);
 
   /// Records a finished span; no-op when trace_id == 0 (untraced
   /// request). Serve spans parent under the driver's client span id;

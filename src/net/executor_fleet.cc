@@ -333,15 +333,28 @@ void ExecutorFleet::ReportFailure(int w, pid_t expected_pid) {
 }
 
 Result<PutBlockResponse> ExecutorFleet::PutBlock(uint64_t node, int partition,
-                                                 std::string bytes,
+                                                 std::string_view bytes,
                                                  uint64_t content_hash) {
   const int w = partition % num_executors_;
   PutBlockRequest req;
   req.node = node;
   req.partition = partition;
-  req.bytes = std::move(bytes);
   req.content_hash = content_hash;
   const uint64_t start = StampTrace(&req.trace);
+  // The frame is sent from the caller's buffer, between the encoded
+  // fields before and after it.
+  std::string head, tail;
+  req.AppendHead(bytes.size(), &head);
+  req.AppendTail(&tail);
+  if (head.size() + bytes.size() + tail.size() > kMaxFramePayload) {
+    // Too big for any daemon: refuse before sending, so no healthy
+    // daemon is mistaken for a dead one (and restarted, losing its
+    // shard) over a frame the transport was never going to carry.
+    return Status::OutOfRange(
+        "PutBlock of " + std::to_string(bytes.size()) +
+        " bytes exceeds the RPC frame limit of " +
+        std::to_string(kMaxFramePayload) + " bytes");
+  }
   Status last = Status::OK();
   // Two attempts: the second lands on the restarted replacement daemon.
   // A hash-validation refusal (the daemon received corrupted bytes)
@@ -353,12 +366,13 @@ Result<PutBlockResponse> ExecutorFleet::PutBlock(uint64_t node, int partition,
     if (client == nullptr) {
       return Status::IOError("executor " + std::to_string(w) + " is down");
     }
-    auto resp = client->TypedCall<PutBlockRequest, PutBlockResponse>(req);
-    if (resp.ok()) {
+    auto reply = client->Call(PutBlockRequest::kType, {head, bytes, tail},
+                              PutBlockResponse::kType);
+    if (reply.ok()) {
       RecordClientSpan(req.trace, "put_block", start);
-      return resp;
+      return PutBlockResponse::Parse(reply->data(), reply->size());
     }
-    last = resp.status();
+    last = reply.status();
     // A hash-validation refusal means the daemon is healthy and its
     // blocks are intact — only the bytes in flight were damaged. Resend
     // without declaring the daemon dead (a restart would lose its whole
@@ -370,26 +384,33 @@ Result<PutBlockResponse> ExecutorFleet::PutBlock(uint64_t node, int partition,
   return last;
 }
 
-Result<FetchBlockResponse> ExecutorFleet::FetchBlock(uint64_t node,
-                                                     int partition) {
+std::optional<SlicedPayload> ExecutorFleet::FetchBlock(uint64_t node,
+                                                       int partition,
+                                                       uint64_t* content_hash) {
   const int w = partition % num_executors_;
   pid_t pid = -1;
   auto client = ClientFor(w, &pid);
+  if (client == nullptr) return std::nullopt;
   FetchBlockRequest req;
   req.node = node;
   req.partition = partition;
-  if (client != nullptr) {
-    const uint64_t start = StampTrace(&req.trace);
-    auto resp = client->TypedCall<FetchBlockRequest, FetchBlockResponse>(req);
-    RecordClientSpan(req.trace, "fetch_block", start);
-    if (resp.ok()) return resp;
+  const uint64_t start = StampTrace(&req.trace);
+  std::string payload;
+  req.AppendTo(&payload);
+  auto reply = client->Call(FetchBlockRequest::kType, payload,
+                            FetchBlockResponse::kType);
+  RecordClientSpan(req.trace, "fetch_block", start);
+  // Parsed in place: the frame stays inside the reply payload.
+  auto resp = reply.ok() ? FetchBlockResponseView::Parse(reply->data(),
+                                                          reply->size())
+                         : Result<FetchBlockResponseView>(reply.status());
+  if (!resp.ok()) {
     ReportFailure(w, pid);
+    return std::nullopt;
   }
-  // A daemon that died holding the block and one that restarted without
-  // it are the same to the caller: the block is lost, lineage re-plans.
-  FetchBlockResponse lost;
-  lost.found = false;
-  return lost;
+  if (!resp->found) return std::nullopt;
+  *content_hash = resp->content_hash;
+  return SlicedPayload(*std::move(reply), resp->bytes);
 }
 
 bool ExecutorFleet::ProbeBlock(uint64_t node, int partition) {

@@ -9,7 +9,9 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -63,20 +65,24 @@ class ExecutorFleet {
   pid_t executor_pid(int w) EXCLUDES(mu_);
 
   /// Stores one encoded shuffle partition (a chunk frame, carried
-  /// verbatim) on its owner daemon. `content_hash` lets the daemon
-  /// validate the frame on receipt and dedup identical re-stores; the
-  /// response's `deduped` reports whether an identical payload was
-  /// already held. Retries once against the restarted replacement on
-  /// failure (including hash-validation refusals). `bytes` is moved into
-  /// the request, which the retry resends as is.
+  /// verbatim and sent straight from `bytes`) on its owner daemon.
+  /// `content_hash` lets the daemon validate the frame on receipt and
+  /// dedup identical re-stores; the response's `deduped` reports whether
+  /// an identical payload was already held. Retries once against the
+  /// restarted replacement on failure (including hash-validation
+  /// refusals). A frame too big for one RPC fails with OutOfRange before
+  /// anything is sent, and no daemon is restarted over it.
   Result<PutBlockResponse> PutBlock(uint64_t node, int partition,
-                                    std::string bytes,
+                                    std::string_view bytes,
                                     uint64_t content_hash) EXCLUDES(mu_);
 
-  /// Fetches a block from its owner. found=false means the daemon is
-  /// alive but no longer has the block (it was restarted): the caller
-  /// raises ShuffleBlockLostError and lineage re-plans.
-  Result<FetchBlockResponse> FetchBlock(uint64_t node, int partition)
+  /// Fetches a block from its owner: the frame, located inside the reply
+  /// payload it arrived in, and in *content_hash the hash the daemon
+  /// stored it under (0 = unhashed). nullopt means the block is gone —
+  /// the daemon died, or restarted without it: the caller raises
+  /// ShuffleBlockLostError and lineage re-plans.
+  std::optional<SlicedPayload> FetchBlock(uint64_t node, int partition,
+                                          uint64_t* content_hash)
       EXCLUDES(mu_);
 
   /// True when the owner daemon holds the block. Any RPC failure counts

@@ -95,13 +95,22 @@ class Reader {
     return Status::OK();
   }
 
+  /// A length-prefixed byte field, located rather than copied.
   // spangle-lint: untrusted
-  Status ReadBytes(std::string* v) {
+  Status ReadSlice(PayloadSlice* v) {
     uint32_t n = 0;
     SPANGLE_RETURN_NOT_OK(ReadU32(&n));
     SPANGLE_RETURN_NOT_OK(Need(n));
-    v->assign(data_ + pos_, n);
+    *v = PayloadSlice{pos_, n};
     pos_ += n;
+    return Status::OK();
+  }
+
+  // spangle-lint: untrusted
+  Status ReadBytes(std::string* v) {
+    PayloadSlice slice;
+    SPANGLE_RETURN_NOT_OK(ReadSlice(&slice));
+    v->assign(data_ + slice.offset, slice.size);
     return Status::OK();
   }
 
@@ -220,22 +229,45 @@ Result<ErrorResponse> ErrorResponse::Parse(const char* data, size_t size) {
   return m;
 }
 
-void PutBlockRequest::AppendTo(std::string* out) const {
+void PutBlockRequest::AppendHead(size_t bytes_size, std::string* out) const {
   PutU64(node, out);
   PutI32(partition, out);
-  PutBytes(bytes, out);
+  PutU32(static_cast<uint32_t>(bytes_size), out);
+}
+
+void PutBlockRequest::AppendTail(std::string* out) const {
   PutU64(content_hash, out);
   PutTrace(trace, out);
+}
+
+void PutBlockRequest::AppendTo(std::string* out) const {
+  AppendHead(bytes.size(), out);
+  out->append(bytes);
+  AppendTail(out);
 }
 
 // spangle-lint: untrusted
 Result<PutBlockRequest> PutBlockRequest::Parse(const char* data,
                                                size_t size) {
-  Reader r(data, size);
+  auto view = PutBlockRequestView::Parse(data, size);
+  SPANGLE_RETURN_NOT_OK(view.status());
   PutBlockRequest m;
+  m.node = view->node;
+  m.partition = view->partition;
+  m.bytes.assign(data + view->bytes.offset, view->bytes.size);
+  m.content_hash = view->content_hash;
+  m.trace = view->trace;
+  return m;
+}
+
+// spangle-lint: untrusted
+Result<PutBlockRequestView> PutBlockRequestView::Parse(const char* data,
+                                                       size_t size) {
+  Reader r(data, size);
+  PutBlockRequestView m;
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.node));
   SPANGLE_RETURN_NOT_OK(r.ReadI32(&m.partition));
-  SPANGLE_RETURN_NOT_OK(r.ReadBytes(&m.bytes));
+  SPANGLE_RETURN_NOT_OK(r.ReadSlice(&m.bytes));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.content_hash));
   SPANGLE_RETURN_NOT_OK(ReadTrace(&r, &m.trace));
   SPANGLE_RETURN_NOT_OK(r.Done());
@@ -274,19 +306,41 @@ Result<FetchBlockRequest> FetchBlockRequest::Parse(const char* data,
   return m;
 }
 
-void FetchBlockResponse::AppendTo(std::string* out) const {
+void FetchBlockResponse::AppendHead(size_t bytes_size,
+                                    std::string* out) const {
   PutU8(found ? 1 : 0, out);
-  PutBytes(bytes, out);
+  PutU32(static_cast<uint32_t>(bytes_size), out);
+}
+
+void FetchBlockResponse::AppendTail(std::string* out) const {
   PutU64(content_hash, out);
+}
+
+void FetchBlockResponse::AppendTo(std::string* out) const {
+  AppendHead(bytes.size(), out);
+  out->append(bytes);
+  AppendTail(out);
 }
 
 // spangle-lint: untrusted
 Result<FetchBlockResponse> FetchBlockResponse::Parse(const char* data,
                                                      size_t size) {
-  Reader r(data, size);
+  auto view = FetchBlockResponseView::Parse(data, size);
+  SPANGLE_RETURN_NOT_OK(view.status());
   FetchBlockResponse m;
+  m.found = view->found;
+  m.bytes.assign(data + view->bytes.offset, view->bytes.size);
+  m.content_hash = view->content_hash;
+  return m;
+}
+
+// spangle-lint: untrusted
+Result<FetchBlockResponseView> FetchBlockResponseView::Parse(const char* data,
+                                                             size_t size) {
+  Reader r(data, size);
+  FetchBlockResponseView m;
   SPANGLE_RETURN_NOT_OK(r.ReadBool(&m.found));
-  SPANGLE_RETURN_NOT_OK(r.ReadBytes(&m.bytes));
+  SPANGLE_RETURN_NOT_OK(r.ReadSlice(&m.bytes));
   SPANGLE_RETURN_NOT_OK(r.ReadU64(&m.content_hash));
   SPANGLE_RETURN_NOT_OK(r.Done());
   return m;

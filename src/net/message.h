@@ -1,8 +1,11 @@
 #ifndef SPANGLE_NET_MESSAGE_H_
 #define SPANGLE_NET_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -47,6 +50,32 @@ const char* MessageTypeName(MessageType type);
 // is a Status, never a crash, because the bytes cross a process boundary
 // (unlike spill files, which are trusted engine-local state).
 
+/// Where a byte field sits inside a received payload. The in-place
+/// parsers (PutBlockRequestView, FetchBlockResponseView) report this
+/// instead of copying the field out, so a multi-megabyte frame is read
+/// where it landed.
+struct PayloadSlice {
+  size_t offset = 0;
+  size_t size = 0;
+};
+
+/// A received payload kept whole, exposing one byte field of it: how the
+/// daemon holds a stored frame and the driver a fetched one, without
+/// copying the frame out of the message it arrived in.
+class SlicedPayload {
+ public:
+  SlicedPayload(std::string payload, PayloadSlice slice)
+      : payload_(std::move(payload)), slice_(slice) {}
+
+  const char* data() const { return payload_.data() + slice_.offset; }
+  size_t size() const { return slice_.size; }
+  std::string_view view() const { return {data(), size()}; }
+
+ private:
+  std::string payload_;
+  PayloadSlice slice_;
+};
+
 /// Failure response: a serialized Status. Sent in place of the expected
 /// response type when the server-side handler fails.
 struct ErrorResponse {
@@ -90,6 +119,26 @@ struct PutBlockRequest {
 
   void AppendTo(std::string* out) const;
   static Result<PutBlockRequest> Parse(const char* data, size_t size);
+
+  /// The encoding split around `bytes`, for a gathered send of a frame
+  /// the caller holds elsewhere: AppendHead writes the fields before it
+  /// (ending in the length prefix of a `bytes_size`-byte field),
+  /// AppendTail those after it. AppendTo is head + bytes + tail.
+  void AppendHead(size_t bytes_size, std::string* out) const;
+  void AppendTail(std::string* out) const;
+};
+
+/// PutBlockRequest decoded in place: `bytes` is located in the payload,
+/// not copied. Accepts exactly the payloads PutBlockRequest::Parse
+/// accepts — that Parse is this one plus the copy.
+struct PutBlockRequestView {
+  uint64_t node = 0;
+  int32_t partition = 0;
+  PayloadSlice bytes;
+  uint64_t content_hash = 0;
+  TraceHeader trace;
+
+  static Result<PutBlockRequestView> Parse(const char* data, size_t size);
 };
 
 /// deduped=true: the daemon already held an identical payload (same
@@ -130,6 +179,21 @@ struct FetchBlockResponse {
 
   void AppendTo(std::string* out) const;
   static Result<FetchBlockResponse> Parse(const char* data, size_t size);
+
+  /// The encoding split around `bytes`, as for PutBlockRequest: the
+  /// daemon sends a stored frame between the two without copying it.
+  void AppendHead(size_t bytes_size, std::string* out) const;
+  void AppendTail(std::string* out) const;
+};
+
+/// FetchBlockResponse decoded in place; accepts exactly the payloads
+/// FetchBlockResponse::Parse accepts.
+struct FetchBlockResponseView {
+  bool found = false;
+  PayloadSlice bytes;
+  uint64_t content_hash = 0;
+
+  static Result<FetchBlockResponseView> Parse(const char* data, size_t size);
 };
 
 struct ProbeBlockRequest {

@@ -19,10 +19,9 @@ RemoteShuffleFetcher::RemoteShuffleFetcher(ExecutorFleet* fleet,
 }
 
 Status RemoteShuffleFetcher::StoreEncoded(uint64_t node, int partition,
-                                          std::string bytes,
+                                          std::string_view bytes,
                                           uint64_t content_hash) {
-  auto resp =
-      fleet_->PutBlock(node, partition, std::move(bytes), content_hash);
+  auto resp = fleet_->PutBlock(node, partition, bytes, content_hash);
   SPANGLE_RETURN_NOT_OK(resp.status());
   if (resp->deduped) {
     metrics_->shuffle_block_dedup_hits.fetch_add(1,
@@ -31,29 +30,35 @@ Status RemoteShuffleFetcher::StoreEncoded(uint64_t node, int partition,
   return Status::OK();
 }
 
-std::optional<std::string> RemoteShuffleFetcher::FetchEncoded(uint64_t node,
-                                                              int partition) {
+std::optional<SlicedPayload> RemoteShuffleFetcher::FetchEncoded(
+    uint64_t node, int partition) {
   const auto start = std::chrono::steady_clock::now();
-  auto resp = fleet_->FetchBlock(node, partition);
+  uint64_t stored_hash = 0;
+  auto frame = fleet_->FetchBlock(node, partition, &stored_hash);
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
   metrics_->AddRemoteFetchUs(static_cast<uint64_t>(us));
-  if (!resp.ok() || !resp->found) return std::nullopt;
-  // Receipt validation: re-hash the received frame and compare against
-  // the hash the block was stored under. A mismatch is wire corruption —
-  // surfaced as a lost (retryable) block, never decoded.
-  if (resp->content_hash != 0 &&
-      (resp->bytes.size() < codec::kFrameHeaderBytes ||
-       codec::ComputeFrameHash(resp->bytes.data(), resp->bytes.size()) !=
-           resp->content_hash)) {
+  if (!frame.has_value()) return std::nullopt;
+  // Receipt validation, one hash per receipt: the received frame must
+  // hash to the address the daemon stored it under AND to the hash its
+  // own header carries. A mismatch with either is corruption (in flight
+  // or in the daemon's store) — surfaced as a lost, retryable block,
+  // never decoded. Passing both is what lets the reader decode without
+  // hashing the frame again.
+  const auto header_hash = codec::PeekFrameHash(frame->data(), frame->size());
+  const bool valid =
+      header_hash.ok() &&
+      codec::ComputeFrameHash(frame->data(), frame->size()) == *header_hash &&
+      (stored_hash == 0 || stored_hash == *header_hash);
+  if (!valid) {
     SPANGLE_LOG(Warning) << "shuffle block (" << node << ", " << partition
                          << ") failed content-hash validation; treating as "
                             "lost";
     return std::nullopt;
   }
   metrics_->remote_shuffle_fetches.fetch_add(1, std::memory_order_relaxed);
-  return std::move(resp->bytes);
+  return frame;
 }
 
 bool RemoteShuffleFetcher::ContainsAll(uint64_t node, int num_partitions) {

@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "net/message.h"
 
 namespace spangle {
 
@@ -28,18 +29,21 @@ class RemoteShuffleFetcher {
   /// Stores one encoded partition (a chunk frame) on its owner daemon.
   /// `content_hash` is the frame's content address: the daemon validates
   /// the bytes on receipt, and a daemon that already holds an identical
-  /// payload reports a dedup, counted in shuffle_block_dedup_hits.
-  /// `bytes` is taken by value and moved into the request: a caller that
-  /// hands over its frame pays no copy.
-  Status StoreEncoded(uint64_t node, int partition, std::string bytes,
+  /// payload reports a dedup, counted in shuffle_block_dedup_hits. The
+  /// frame is sent straight from `bytes`, never copied.
+  Status StoreEncoded(uint64_t node, int partition, std::string_view bytes,
                       uint64_t content_hash);
 
-  /// Fetches one partition's encoding. nullopt = the block is gone
-  /// (daemon died/restarted) OR the received frame failed content-hash
-  /// validation (wire corruption) — both are retryable losses the caller
+  /// Fetches one partition's encoding, located inside the reply it
+  /// arrived in. A returned frame's content hash has been checked — it
+  /// matches the frame's header and the address the daemon stored it
+  /// under (when it has one) — so the caller may decode it with
+  /// verify_hash=false. nullopt = the
+  /// block is gone (daemon died/restarted) OR the received frame failed
+  /// that check (corruption) — both are retryable losses the caller
   /// raises as ShuffleBlockLostError. Fetch wall time is credited to
   /// remote_fetch_time_us and the calling task's stage.
-  std::optional<std::string> FetchEncoded(uint64_t node, int partition);
+  std::optional<SlicedPayload> FetchEncoded(uint64_t node, int partition);
 
   /// True when every partition [0, num_partitions) is still held by its
   /// owner daemon — the DISTRIBUTED materialization check.

@@ -1,74 +1,83 @@
 #include "net/rpc_client.h"
 
-#include <sys/socket.h>
-
+#include <algorithm>
 #include <utility>
 
 namespace spangle {
 namespace net {
 
 Status RpcClient::Connect() {
-  MutexLock l(&mu_);
-  if (conn_.valid()) return Status::OK();
-  // blocking-ok: mu_ serializes this client's single connection; holding it
-  // across connect/send/recv IS the per-client request pipeline (§DESIGN 9).
-  return ConnectLocked();
-}
-
-Status RpcClient::ConnectLocked() {
-  // blocking-ok: see Connect() — the lock is this client's request pipeline.
-  auto socket = Socket::ConnectLoopback(port_);
-  SPANGLE_RETURN_NOT_OK(socket.status());
-  conn_ = Connection(std::move(*socket),
-                     ByteCounters{counters_.bytes_sent,
-                                  counters_.bytes_received});
-  fd_shadow_.store(conn_.socket().fd(), std::memory_order_release);
+  {
+    MutexLock l(&mu_);
+    if (!open_.empty()) return Status::OK();
+  }
+  auto conn = Acquire();
+  SPANGLE_RETURN_NOT_OK(conn.status());
+  Release(*std::move(conn));
   return Status::OK();
 }
 
-void RpcClient::DropConnectionLocked() {
-  fd_shadow_.store(-1, std::memory_order_release);
-  conn_ = Connection();
+Result<std::shared_ptr<Connection>> RpcClient::Acquire() {
+  {
+    MutexLock l(&mu_);
+    if (!idle_.empty()) {
+      std::shared_ptr<Connection> conn = std::move(idle_.back());
+      idle_.pop_back();
+      return conn;
+    }
+  }
+  auto socket = Socket::ConnectLoopback(port_);
+  SPANGLE_RETURN_NOT_OK(socket.status());
+  auto conn = std::make_shared<Connection>(
+      std::move(*socket),
+      ByteCounters{counters_.bytes_sent, counters_.bytes_received});
+  MutexLock l(&mu_);
+  open_.push_back(conn);
+  return conn;
 }
 
-Result<std::string> RpcClient::Call(MessageType request_type,
-                                    const std::string& request_payload,
-                                    MessageType expected_response_type) {
+void RpcClient::Release(std::shared_ptr<Connection> conn) {
   MutexLock l(&mu_);
-  if (!conn_.valid()) {
-    // blocking-ok: see Connect() — the lock is the request pipeline.
-    SPANGLE_RETURN_NOT_OK(ConnectLocked());
-  }
-  // blocking-ok: one in-flight RPC per client by design; Abort() unblocks.
-  Status st = conn_.Send(request_type, request_payload);
-  if (!st.ok()) {
-    DropConnectionLocked();
-    return st;
-  }
-  MessageType resp_type;
+  idle_.push_back(std::move(conn));
+}
+
+void RpcClient::Drop(const std::shared_ptr<Connection>& conn) {
+  MutexLock l(&mu_);
+  open_.erase(std::remove(open_.begin(), open_.end(), conn), open_.end());
+}
+
+Result<std::string> RpcClient::Call(
+    MessageType request_type, std::initializer_list<std::string_view> parts,
+    MessageType expected_response_type) {
+  auto acquired = Acquire();
+  SPANGLE_RETURN_NOT_OK(acquired.status());
+  std::shared_ptr<Connection> conn = *std::move(acquired);
+  MessageType resp_type = MessageType::kError;
   std::string resp_payload;
-  // blocking-ok: one in-flight RPC per client by design; Abort() unblocks.
-  st = conn_.Recv(&resp_type, &resp_payload);
+  Status st = conn->Send(request_type, parts);
+  if (st.ok()) st = conn->Recv(&resp_type, &resp_payload);
   if (!st.ok()) {
-    DropConnectionLocked();
+    Drop(conn);
     return st;
   }
   if (resp_type == MessageType::kError) {
-    auto err = ErrorResponse::Parse(resp_payload.data(), resp_payload.size());
-    SPANGLE_RETURN_NOT_OK(err.status());
     // A typed error reply is an application failure, not a transport one:
     // the stream stays framed, keep the connection.
+    Release(std::move(conn));
+    auto err = ErrorResponse::Parse(resp_payload.data(), resp_payload.size());
+    SPANGLE_RETURN_NOT_OK(err.status());
     return err->ToStatus();
   }
   if (resp_type != expected_response_type) {
     // Unexpected type means the request/response pairing is off; the
     // stream can no longer be trusted.
-    DropConnectionLocked();
+    Drop(conn);
     return Status::Internal(
         std::string("rpc: expected ") +
         MessageTypeName(expected_response_type) + " reply, got " +
         MessageTypeName(resp_type));
   }
+  Release(std::move(conn));
   if (counters_.roundtrips != nullptr) {
     counters_.roundtrips->fetch_add(1, std::memory_order_relaxed);
   }
@@ -76,12 +85,8 @@ Result<std::string> RpcClient::Call(MessageType request_type,
 }
 
 void RpcClient::Abort() {
-  // Deliberately lock-free: the thread we are unblocking holds mu_. The
-  // fd shadow can briefly lag a reconnect, but Abort is only used against
-  // daemons known to be dead, where a stray shutdown on the replacement
-  // connection just forces one extra reconnect.
-  const int fd = fd_shadow_.load(std::memory_order_acquire);
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  MutexLock l(&mu_);
+  for (const auto& conn : open_) conn->ShutdownBoth();
 }
 
 }  // namespace net

@@ -72,16 +72,16 @@ void RpcServer::ServeConnection(std::shared_ptr<Conn> conn) {
     Status st = conn->connection.Recv(&req_type, &req_payload);
     if (!st.ok()) break;  // peer closed, Stop() shutdown, or corrupt frame
 
-    MessageType resp_type = MessageType::kError;
-    std::string resp_payload;
+    RpcReply reply;
     const Status handled =
-        handler_(req_type, req_payload, &resp_type, &resp_payload);
+        handler_(req_type, std::move(req_payload), &reply);
     if (!handled.ok()) {
-      resp_type = MessageType::kError;
-      resp_payload.clear();
-      ErrorResponse::FromStatus(handled).AppendTo(&resp_payload);
+      reply = RpcReply();
+      ErrorResponse::FromStatus(handled).AppendTo(&reply.head);
     }
-    if (!conn->connection.Send(resp_type, resp_payload).ok()) break;
+    const Status sent =
+        conn->connection.Send(reply.type, {reply.head, reply.body, reply.tail});
+    if (!sent.ok()) break;
   }
   MutexLock l(&mu_);
   for (auto it = conns_.begin(); it != conns_.end(); ++it) {

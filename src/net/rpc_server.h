@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -17,20 +18,33 @@
 namespace spangle {
 namespace net {
 
+/// A handler's response. Its payload goes out as `head`, then `body`,
+/// then `tail`, in one gathered write, so a stored block is sent from
+/// where it lives; `pin` keeps `body`'s bytes alive until they are
+/// written. Most replies use `head` alone.
+struct RpcReply {
+  MessageType type = MessageType::kError;
+  std::string head;
+  std::string_view body;
+  std::shared_ptr<const void> pin;
+  std::string tail;
+};
+
 /// Blocking request/response RPC server: one acceptor thread plus one
 /// handler thread per connection. Connection counts are tiny (one driver
 /// with a handful of clients per daemon), so thread-per-connection beats
 /// an event loop on simplicity with no relevant cost.
 ///
-/// The handler maps a request frame to a response frame. A non-OK return
-/// makes the server reply with a kError frame carrying the status, so
-/// handler failures surface at the caller as typed Status — the
-/// connection stays usable.
+/// The handler maps a request frame to a response frame. It owns the
+/// request payload it is handed (a handler may keep it, as the daemon
+/// keeps a PutBlock payload as the stored block). A non-OK return makes
+/// the server reply with a kError frame carrying the status, so handler
+/// failures surface at the caller as typed Status — the connection stays
+/// usable.
 class RpcServer {
  public:
-  /// (request type, request payload, &response type, &response payload).
-  using Handler = std::function<Status(MessageType, const std::string&,
-                                       MessageType*, std::string*)>;
+  /// (request type, request payload, &reply).
+  using Handler = std::function<Status(MessageType, std::string, RpcReply*)>;
 
   explicit RpcServer(ByteCounters counters = {});
   ~RpcServer();

@@ -50,19 +50,36 @@ Result<Socket> Socket::ConnectLoopback(uint16_t port) {
   return s;
 }
 
-Status Socket::SendAll(const char* data, size_t n) {
+Status Socket::SendAllv(struct iovec* iov, size_t count) {
   if (fd_ < 0) return Status::FailedPrecondition("send on closed socket");
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
+  while (true) {
+    // Skip the buffers already written (and empty ones).
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return Status::OK();
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return Errno("send");
     }
     if (w == 0) return Status::IOError("send: connection closed by peer");
-    off += static_cast<size_t>(w);
+    // A short write: advance past what the kernel took.
+    auto left = static_cast<size_t>(w);
+    for (; left > 0; ++iov, --count) {
+      if (left < iov->iov_len) {
+        iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+        iov->iov_len -= left;
+        break;
+      }
+      left -= iov->iov_len;
+      iov->iov_len = 0;
+    }
   }
-  return Status::OK();
 }
 
 Status Socket::RecvAll(char* data, size_t n) {

@@ -1,6 +1,8 @@
 #ifndef SPANGLE_NET_SOCKET_H_
 #define SPANGLE_NET_SOCKET_H_
 
+#include <sys/uio.h>
+
 #include <cstddef>
 #include <cstdint>
 
@@ -16,10 +18,11 @@ namespace net {
 /// SO_RCVTIMEO when a caller needs them. Writes use MSG_NOSIGNAL — a
 /// dead peer surfaces as an IOError Status, never SIGPIPE.
 ///
-/// Thread contract: SendAll/RecvAll from one thread at a time (RpcClient
-/// serializes calls under its mutex). ShutdownBoth() is the exception —
-/// it may be called from another thread to unblock a stuck read, which
-/// is how the fleet aborts in-flight RPCs against a killed daemon.
+/// Thread contract: SendAllv/RecvAll from one thread at a time (an
+/// RpcClient connection belongs to one call at a time). ShutdownBoth()
+/// is the exception — it may be called from another thread to unblock a
+/// stuck read, which is how the fleet aborts in-flight RPCs against a
+/// killed daemon.
 class Socket {
  public:
   Socket() = default;
@@ -46,9 +49,12 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Writes all n bytes or returns an IOError.
+  /// Writes every byte of the `count` buffers in `iov`, in order, or
+  /// returns an IOError. One sendmsg gathers them all, so a message's
+  /// parts need not be copied into one buffer first. Consumes `iov`
+  /// (entries are advanced past what was written).
   // spangle-lint: may-block
-  Status SendAll(const char* data, size_t n);
+  Status SendAllv(struct iovec* iov, size_t count);
 
   /// Reads exactly n bytes. A clean EOF mid-read is an IOError too: the
   /// framing layer never expects a peer to close inside a frame.

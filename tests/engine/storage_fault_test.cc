@@ -1,14 +1,18 @@
 // End-to-end storage stress: PageRank with cached state under a tight
 // memory budget loses an executor mid-run; the final ranks must be
 // bit-identical to an undisturbed run, with lineage recomputation doing
-// real work along the way. A spill directory that cannot be written
-// fails spills, never the process, and every answer stays exact.
+// real work along the way. A spill directory that cannot be written, or
+// a full disk, fails spills, never the process, and every answer stays
+// exact.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -203,6 +207,65 @@ TEST(SpillFailureTest, SpillDirRemovedMidRunFailsLaterSpills) {
   std::filesystem::remove_all(storage.spill_dir);
   ExpectExactAnswersUnderFailingSpills(&ctx);
   EXPECT_EQ(ctx.metrics().spilled_bytes.load(), spilled);
+}
+
+// A full disk, made real for this process only: RLIMIT_FSIZE 0 makes
+// every write to a regular file fail with EFBIG (SIGXFSZ ignored, so the
+// write returns the error instead of killing the process). The limit and
+// the signal disposition are restored on scope exit.
+class FileSizeLimitZero {
+ public:
+  FileSizeLimitZero() {
+    ok_ = ::getrlimit(RLIMIT_FSIZE, &saved_) == 0;
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit full = saved_;
+    full.rlim_cur = 0;
+    ok_ = ok_ && ::setrlimit(RLIMIT_FSIZE, &full) == 0;
+  }
+  ~FileSizeLimitZero() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimitZero(const FileSizeLimitZero&) = delete;
+  FileSizeLimitZero& operator=(const FileSizeLimitZero&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+TEST(SpillFailureTest, FullDiskFailsSpillsNotJobs) {
+  StorageOptions storage;
+  storage.memory_budget_bytes = 1024;
+  storage.spill_dir = ::testing::TempDir() + "/spangle_spill_full_" +
+                      std::to_string(::getpid());
+  {
+    FileSizeLimitZero full_disk;
+    ASSERT_TRUE(full_disk.ok());
+    {
+      // The limit really bites: a write fails with EFBIG, and the
+      // process lives on.
+      const std::string probe = ::testing::TempDir() +
+                                "/spangle_full_disk_probe_" +
+                                std::to_string(::getpid());
+      std::FILE* f = std::fopen(probe.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      errno = 0;
+      EXPECT_EQ(::write(::fileno(f), "x", 1), -1);
+      EXPECT_EQ(errno, EFBIG);
+      std::fclose(f);
+      std::remove(probe.c_str());
+    }
+    Context ctx(2, 0, 0, storage);
+    ExpectExactAnswersUnderFailingSpills(&ctx);
+    EXPECT_GT(ctx.metrics().evictions.load(), 0u);
+    EXPECT_EQ(ctx.metrics().spilled_bytes.load(), 0u)
+        << "no spill write can succeed on a full disk";
+  }
+  std::filesystem::remove_all(storage.spill_dir);
 }
 
 // Spills a MEMORY_AND_DISK cache, a DISK_ONLY cache and a reduceByKey's

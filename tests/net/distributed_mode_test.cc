@@ -18,15 +18,19 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "codec/columnar.h"
 #include "common/random.h"
 #include "engine/engine.h"
 #include "matrix/block_matrix.h"
 #include "ml/pagerank.h"
 #include "net/executor_fleet.h"
+#include "net/frame.h"
+#include "net/message.h"
 #include "workload/graph_gen.h"
 
 namespace spangle {
@@ -413,6 +417,80 @@ TEST(DistributedModeTest, DaemonSpillRoundTripMatchesLocal) {
   EXPECT_GT(dist.metrics().remote_shuffle_fetches.load(), 0u);
   EXPECT_GT(FleetMetric(&dist, "spilled_bytes"), 0u);
   EXPECT_GT(FleetMetric(&dist, "disk_reads"), 0u);
+}
+
+// Node id for blocks stored through the fetcher directly; far above any
+// engine node.
+constexpr uint64_t kProbeNode = uint64_t{1} << 60;
+
+std::vector<std::pair<uint64_t, double>> ProbeRecords() {
+  std::vector<std::pair<uint64_t, double>> records;
+  for (uint64_t k = 0; k < 500; ++k) records.emplace_back(k * 7, k * 0.5);
+  return records;
+}
+
+TEST(DistributedModeTest, OversizedPutFailsWithoutRestartingTheDaemon) {
+  Context ctx(2, 4, 0, {}, Distributed(2));
+  const pid_t pid = ctx.fleet()->executor_pid(0);
+  ASSERT_GT(pid, 0);
+  // A PutBlock payload is the frame plus the encoded fields around it;
+  // size the frame so the payload is one byte over the RPC limit. The
+  // buffer is never read (the put is refused before anything is sent),
+  // so its pages are never touched.
+  net::PutBlockRequest fields;
+  std::string head, tail;
+  fields.AppendHead(0, &head);
+  fields.AppendTail(&tail);
+  const size_t n = net::kMaxFramePayload - head.size() - tail.size() + 1;
+  std::unique_ptr<char[]> big(new char[n]);
+  const Status st = ctx.remote_shuffle()->StoreEncoded(
+      kProbeNode, 0, std::string_view(big.get(), n), 0);
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  EXPECT_EQ(ctx.metrics().executor_restarts.load(), 0u)
+      << "an oversized frame is no evidence of a dead daemon";
+  EXPECT_EQ(ctx.fleet()->executor_pid(0), pid);
+
+  // The daemon and its connection still serve a small put and fetch.
+  const codec::EncodedFrame frame = codec::EncodePartitionFrame(ProbeRecords());
+  ASSERT_TRUE(ctx.remote_shuffle()
+                  ->StoreEncoded(kProbeNode, 0, frame.bytes,
+                                 frame.content_hash)
+                  .ok());
+  const auto fetched = ctx.remote_shuffle()->FetchEncoded(kProbeNode, 0);
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->view(), frame.bytes);
+  EXPECT_EQ(ctx.metrics().executor_restarts.load(), 0u);
+}
+
+TEST(DistributedModeTest, FetchedFrameWithTamperedHeaderHashIsLost) {
+  // The header's hash field is outside what the hash covers, so a frame
+  // whose field was altered still hashes to the daemon's address — the
+  // daemon accepts it — and only the frame's own claim is wrong. The
+  // fetch must check both, or the reader (which no longer re-hashes)
+  // would decode a frame that disagrees with itself.
+  Context ctx(2, 4, 0, {}, Distributed(2));
+  const codec::EncodedFrame frame = codec::EncodePartitionFrame(ProbeRecords());
+  std::string tampered = frame.bytes;
+  tampered[12] = static_cast<char>(tampered[12] ^ 0x01);
+  ASSERT_EQ(codec::ComputeFrameHash(tampered.data(), tampered.size()),
+            frame.content_hash);
+  ASSERT_TRUE(ctx.remote_shuffle()
+                  ->StoreEncoded(kProbeNode, 1, tampered, frame.content_hash)
+                  .ok());
+  EXPECT_FALSE(ctx.remote_shuffle()->FetchEncoded(kProbeNode, 1).has_value());
+
+  // The untampered twin fetches and decodes without a second hash.
+  ASSERT_TRUE(ctx.remote_shuffle()
+                  ->StoreEncoded(kProbeNode, 3, frame.bytes,
+                                 frame.content_hash)
+                  .ok());
+  const auto fetched = ctx.remote_shuffle()->FetchEncoded(kProbeNode, 3);
+  ASSERT_TRUE(fetched.has_value());
+  auto records = codec::DecodePartitionFrame<std::pair<uint64_t, double>>(
+      fetched->data(), fetched->size(), /*verify_hash=*/false);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(*records, ProbeRecords());
+  EXPECT_EQ(ctx.metrics().executor_restarts.load(), 0u);
 }
 
 }  // namespace

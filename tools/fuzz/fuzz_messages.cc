@@ -5,11 +5,18 @@
 // element counts — with a Status; a parsed ErrorResponse additionally
 // round-trips through ToStatus(), which must normalize out-of-range
 // codes rather than trust them.
+//
+// Differential half: every payload, whatever its type byte, also goes
+// through the in-place decoders (PutBlockRequestView,
+// FetchBlockResponseView), which must accept exactly what the copying
+// Parse accepts and locate the same bytes it copies; any disagreement
+// traps (message_differential.h).
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "message_differential.h"
 #include "net/message.h"
 
 namespace {
@@ -35,6 +42,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const auto type = static_cast<MessageType>(data[0] % 16);
   const char* payload = reinterpret_cast<const char*>(data + 1);
   const size_t n = size - 1;
+  if (!spangle::net::DiffInPlaceParsers(payload, n).empty()) {
+    __builtin_trap();
+  }
 
   switch (type) {
     case MessageType::kError: {
