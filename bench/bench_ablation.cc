@@ -12,10 +12,6 @@
 //      profiling on vs off. The hooks must stay under a few percent or
 //      always-on profiling is off the table. Written to
 //      BENCH_observability.json for machines.
-//   6. Chunk-frame codec vs the legacy record-at-a-time format:
-//      encode/decode throughput and encoded bytes at 1% / 10% / 90%
-//      payload density, plus the end-to-end shuffle overhead of the
-//      frame path in DISTRIBUTED mode. Written to BENCH_codec.json.
 //   7. Multi-tenant serving: JobServer throughput and per-job latency
 //      (p50/p99 of submit -> done) for 1 / 4 / 16 concurrent sessions,
 //      with the lineage-digest result cache on vs off. Written to
@@ -35,8 +31,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "codec/columnar.h"
-#include "codec/record_codec.h"
 #include "common/bytes.h"
 #include "common/random.h"
 #include "engine/engine.h"
@@ -437,139 +431,6 @@ void TracingAblation() {
   }
 }
 
-void CodecAblation() {
-  using Record = std::pair<int64_t, double>;
-  constexpr size_t kRecords = 200000;
-  constexpr int kReps = 5;
-  const double densities[3] = {0.01, 0.10, 0.90};
-
-  // One partition per density: mostly-sorted keys (the shuffle produces
-  // them grouped), values nonzero with the given probability.
-  auto make = [](size_t n, double density) {
-    Rng rng(static_cast<uint64_t>(density * 1000) + 7);
-    std::vector<Record> records;
-    records.reserve(n);
-    int64_t key = 0;
-    for (size_t i = 0; i < n; ++i) {
-      key += static_cast<int64_t>(rng.NextBounded(5));
-      records.emplace_back(
-          key, rng.NextBool(density) ? rng.NextDouble(-1e6, 1e6) : 0.0);
-    }
-    return records;
-  };
-
-  PrintHeader("Ablation 6: chunk-frame codec vs record-at-a-time",
-              {"density", "codec", "bytes", "enc MB/s", "dec MB/s"});
-  struct Row {
-    double density;
-    uint64_t legacy_bytes, frame_bytes;
-    double legacy_enc, frame_enc, legacy_dec, frame_dec;  // MB/s of raw data
-  };
-  Row rows[3];
-  for (int d = 0; d < 3; ++d) {
-    const auto records = make(kRecords, densities[d]);
-    const double raw_mb =
-        static_cast<double>(kRecords * sizeof(Record)) / (1024.0 * 1024.0);
-
-    std::string legacy_bytes;
-    codec::EncodedFrame frame;
-    double legacy_enc = 0, frame_enc = 0, legacy_dec = 0, frame_dec = 0;
-    for (int r = 0; r < kReps; ++r) {
-      const double tl = TimeSeconds(
-          [&] { legacy_bytes = codec::legacy::EncodePartition(records); });
-      const double tf =
-          TimeSeconds([&] { frame = codec::EncodePartitionFrame(records); });
-      legacy_enc = std::max(legacy_enc, tl > 0 ? raw_mb / tl : 0.0);
-      frame_enc = std::max(frame_enc, tf > 0 ? raw_mb / tf : 0.0);
-      const double dl = TimeSeconds([&] {
-        (void)codec::legacy::DecodePartition<Record>(legacy_bytes.data(),
-                                                     legacy_bytes.size());
-      });
-      const double df = TimeSeconds([&] {
-        (void)*codec::DecodePartitionFrame<Record>(frame.bytes.data(),
-                                                   frame.bytes.size());
-      });
-      legacy_dec = std::max(legacy_dec, dl > 0 ? raw_mb / dl : 0.0);
-      frame_dec = std::max(frame_dec, df > 0 ? raw_mb / df : 0.0);
-    }
-    rows[d] = {densities[d], legacy_bytes.size(), frame.bytes.size(),
-               legacy_enc, frame_enc, legacy_dec, frame_dec};
-    char label[16];
-    std::snprintf(label, sizeof(label), "%.0f%%", densities[d] * 100);
-    for (const bool is_frame : {false, true}) {
-      PrintCell(std::string(label));
-      PrintCell(std::string(is_frame ? "chunk frame" : "legacy"));
-      PrintCell(HumanBytes(is_frame ? rows[d].frame_bytes
-                                    : rows[d].legacy_bytes));
-      char mbps[32];
-      std::snprintf(mbps, sizeof(mbps), "%.0f",
-                    is_frame ? frame_enc : legacy_enc);
-      PrintCell(std::string(mbps));
-      std::snprintf(mbps, sizeof(mbps), "%.0f",
-                    is_frame ? frame_dec : legacy_dec);
-      PrintCell(std::string(mbps));
-      PrintEnd();
-    }
-  }
-
-  // End-to-end: the same reduceByKey workload in LOCAL vs DISTRIBUTED
-  // mode — the distributed run ships every partition as a frame over
-  // loopback RPC and fetches it back, so the delta bounds the frame
-  // path's wire overhead.
-  auto count_by_bucket = [](Context* ctx) {
-    std::vector<int> data(200000);
-    for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<int>(i);
-    auto pairs = ctx->Parallelize(std::move(data)).Map([](const int& v) {
-      return std::pair<int, int>(v % 1024, 1);
-    });
-    auto counts = PairRdd<int, int>(pairs).ReduceByKey(
-        [](const int& a, const int& b) { return a + b; });
-    return counts.Collect().size();
-  };
-  Context local(2, 4);
-  const double local_secs = TimeSeconds([&] { count_by_bucket(&local); });
-  DeploymentOptions dep;
-  dep.mode = DeploymentMode::kDistributed;
-  dep.distributed.num_executors = 2;
-  Context dist(2, 4, 0, {}, dep);
-  const double dist_secs = TimeSeconds([&] { count_by_bucket(&dist); });
-  std::printf("shuffle reduceByKey: local %.3fs, distributed(2) %.3fs "
-              "(codec raw->encoded %s -> %s)\n",
-              local_secs, dist_secs,
-              HumanBytes(dist.metrics().codec_bytes_raw.load()).c_str(),
-              HumanBytes(dist.metrics().codec_bytes_encoded.load()).c_str());
-
-  FILE* f = std::fopen("BENCH_codec.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\"bench\":\"codec_ablation\",\"records\":%zu,"
-                    "\"densities\":[",
-                 kRecords);
-    for (int d = 0; d < 3; ++d) {
-      std::fprintf(
-          f,
-          "%s{\"density\":%.2f,\"legacy_bytes\":%llu,\"frame_bytes\":%llu,"
-          "\"legacy_encode_mb_s\":%.1f,\"frame_encode_mb_s\":%.1f,"
-          "\"legacy_decode_mb_s\":%.1f,\"frame_decode_mb_s\":%.1f}",
-          d > 0 ? "," : "", rows[d].density,
-          static_cast<unsigned long long>(rows[d].legacy_bytes),
-          static_cast<unsigned long long>(rows[d].frame_bytes),
-          rows[d].legacy_enc, rows[d].frame_enc, rows[d].legacy_dec,
-          rows[d].frame_dec);
-    }
-    std::fprintf(f,
-                 "],\"shuffle_local_seconds\":%.6f,"
-                 "\"shuffle_distributed_seconds\":%.6f,"
-                 "\"distributed_codec_bytes_raw\":%llu,"
-                 "\"distributed_codec_bytes_encoded\":%llu}\n",
-                 local_secs, dist_secs,
-                 static_cast<unsigned long long>(
-                     dist.metrics().codec_bytes_raw.load()),
-                 static_cast<unsigned long long>(
-                     dist.metrics().codec_bytes_encoded.load()));
-    std::fclose(f);
-  }
-}
-
 void ServingAblation() {
   // Every tenant draws its jobs from a shared pool of digest-declared
   // plans, so with the cache on repeats (within and across sessions) are
@@ -701,7 +562,6 @@ int main() {
   spangle::MaskRddAblation();
   spangle::SchedulerAblation();
   spangle::ObservabilityAblation();
-  spangle::CodecAblation();
   spangle::ServingAblation();
   spangle::TracingAblation();
   return 0;

@@ -42,9 +42,9 @@ namespace codec {
 /// wraparound arithmetic (any signed/unsigned key pattern survives).
 
 /// One encoded partition. `content_hash` is the frame's content address
-/// (see chunk_frame.h); `raw_bytes` is what the legacy record-at-a-time
-/// format would have occupied, for compression accounting
-/// (codec_bytes_raw vs codec_bytes_encoded).
+/// (see chunk_frame.h); `raw_bytes` is what a uint32 record count plus
+/// the records in the record codec back to back would occupy, for
+/// compression accounting (codec_bytes_raw vs codec_bytes_encoded).
 struct EncodedFrame {
   std::string bytes;
   uint64_t content_hash = 0;

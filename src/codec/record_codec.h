@@ -15,10 +15,8 @@ namespace codec {
 
 /// The record-at-a-time codec: one record's bytes, no framing. The
 /// columnar chunk frame (columnar.h) uses it for the kRecords fallback
-/// section (types with no columnar split), and the legacy:: partition
-/// functions below preserve the pre-frame wire format for the codec
-/// ablation bench. The engine asks kSpillable<T> below whether a record
-/// type may be spilled to disk.
+/// section (types with no columnar split). The engine asks kSpillable<T>
+/// below whether a record type may be spilled to disk.
 
 /// Types carrying their own binary codec: AppendTo(std::string*) plus a
 /// static FromBytes(data, size, *consumed) returning a Result. Chunk,
@@ -133,38 +131,6 @@ T Decode(const char* data, size_t size, size_t* consumed) {
     return std::move(*r);
   }
 }
-
-/// The pre-frame record-at-a-time partition format, kept verbatim so the
-/// codec ablation bench can measure old vs new on identical data. Not
-/// used by any engine path anymore.
-namespace legacy {
-
-/// uint32 record count, then the records back to back.
-template <typename T>
-std::string EncodePartition(const std::vector<T>& records) {
-  std::string out;
-  const uint32_t n = static_cast<uint32_t>(records.size());
-  out.append(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const T& rec : records) Encode(rec, &out);
-  return out;
-}
-
-template <typename T>
-std::vector<T> DecodePartition(const char* data, size_t size) {
-  uint32_t n = 0;
-  SPANGLE_CHECK_GE(size, sizeof(n)) << "truncated partition encoding";
-  std::memcpy(&n, data, sizeof(n));
-  size_t consumed = sizeof(n);
-  std::vector<T> out;
-  out.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    out.push_back(Decode<T>(data + consumed, size - consumed, &consumed));
-  }
-  SPANGLE_CHECK_EQ(consumed, size) << "trailing bytes in partition encoding";
-  return out;
-}
-
-}  // namespace legacy
 
 }  // namespace codec
 }  // namespace spangle

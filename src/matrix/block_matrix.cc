@@ -4,6 +4,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "matrix/matvec.h"
+
 namespace spangle {
 
 namespace {
@@ -438,63 +440,17 @@ Result<BlockVector> BlockMatrix::MultiplyVector(const BlockVector& v) const {
   if (v.block() != block_) {
     return Status::InvalidArgument("vector block size mismatch");
   }
-  const uint64_t nrb = num_row_blocks();
   const uint32_t bs = static_cast<uint32_t>(block_);
-  using Keyed = std::pair<uint64_t, std::pair<uint64_t, Chunk>>;
-  auto a_by_j = ToPair<uint64_t, std::pair<uint64_t, Chunk>>(
-      array_.chunks().AsRdd().Map(
-          [nrb](const std::pair<ChunkId, Chunk>& rec) {
-            return Keyed{rec.first / nrb, {rec.first % nrb, rec.second}};
-          }));
-  const uint64_t rows = rows_;
-  const uint64_t block = block_;
-  auto partials = ToPair<uint64_t, VecBlock>(
-      a_by_j.Join(v.blocks())
-          .AsRdd()
-          .Map([bs, rows, block](
-                   const std::pair<uint64_t,
-                                   std::pair<std::pair<uint64_t, Chunk>,
-                                             VecBlock>>& rec) {
-            const auto& [rb, tile] = rec.second.first;
-            const VecBlock& vb = rec.second.second;
-            VecBlock out;
-            out.values.assign(
-                std::min<uint64_t>(block, rows - rb * block), 0.0);
-            tile.ForEachValid([&](uint32_t off, double av) {
-              const uint32_t r = off / bs;
-              const uint32_t j = off % bs;
-              if (j < vb.values.size()) {
-                out.values[r] += av * vb.values[j];
-              }
-            });
-            return std::pair<uint64_t, VecBlock>(rb, std::move(out));
-          }));
-  auto reduced = partials.ReduceByKey([](const VecBlock& a,
-                                         const VecBlock& b) {
-    VecBlock out = a;
-    for (size_t i = 0; i < out.values.size(); ++i) {
-      out.values[i] += b.values[i];
-    }
-    return out;
-  });
-  // Missing row blocks (all-zero bands) still need zero blocks so the
-  // result is a complete dense vector.
-  std::vector<double> zeros(rows_, 0.0);
-  BlockVector out = BlockVector::FromDense(ctx(), zeros, block_,
-                                           v.blocks().num_partitions());
-  auto merged = out.blocks().CoGroup(reduced).MapValues(
-      [](const std::pair<std::vector<VecBlock>, std::vector<VecBlock>>&
-             sides) {
-        VecBlock blk = sides.first.front();
-        for (const VecBlock& add : sides.second) {
-          for (size_t i = 0; i < blk.values.size(); ++i) {
-            blk.values[i] += add.values[i];
-          }
-        }
-        return blk;
+  return internal::MatVecCore(
+      array_.chunks(), num_row_blocks(), /*contract_rows=*/false, v, rows_,
+      /*out_is_column=*/true,
+      [bs](const Chunk& tile, const std::vector<double>& x,
+           std::vector<double>* y) {
+        tile.ForEachValid([&](uint32_t off, double av) {
+          const uint32_t j = off % bs;
+          if (j < x.size()) (*y)[off / bs] += av * x[j];
+        });
       });
-  return BlockVector::FromBlocks(rows_, block_, /*is_column=*/true,
-                                 std::move(merged));
 }
 
 BlockMatrix BlockMatrix::FilterRowBlocks(
@@ -553,61 +509,17 @@ Result<BlockVector> BlockMatrix::LeftMultiplyVector(
   if (v.block() != block_) {
     return Status::InvalidArgument("vector block size mismatch");
   }
-  const uint64_t nrb = num_row_blocks();
   const uint32_t bs = static_cast<uint32_t>(block_);
-  using Keyed = std::pair<uint64_t, std::pair<uint64_t, Chunk>>;
-  auto a_by_rb = ToPair<uint64_t, std::pair<uint64_t, Chunk>>(
-      array_.chunks().AsRdd().Map(
-          [nrb](const std::pair<ChunkId, Chunk>& rec) {
-            return Keyed{rec.first % nrb, {rec.first / nrb, rec.second}};
-          }));
-  const uint64_t cols = cols_;
-  const uint64_t block = block_;
-  auto partials = ToPair<uint64_t, VecBlock>(
-      a_by_rb.Join(v.blocks())
-          .AsRdd()
-          .Map([bs, cols, block](
-                   const std::pair<uint64_t,
-                                   std::pair<std::pair<uint64_t, Chunk>,
-                                             VecBlock>>& rec) {
-            const auto& [cb, tile] = rec.second.first;
-            const VecBlock& vb = rec.second.second;
-            VecBlock out;
-            out.values.assign(
-                std::min<uint64_t>(block, cols - cb * block), 0.0);
-            tile.ForEachValid([&](uint32_t off, double av) {
-              const uint32_t r = off / bs;
-              const uint32_t c = off % bs;
-              if (r < vb.values.size() && c < out.values.size()) {
-                out.values[c] += av * vb.values[r];
-              }
-            });
-            return std::pair<uint64_t, VecBlock>(cb, std::move(out));
-          }));
-  auto reduced =
-      partials.ReduceByKey([](const VecBlock& a, const VecBlock& b) {
-        VecBlock out = a;
-        for (size_t i = 0; i < out.values.size(); ++i) {
-          out.values[i] += b.values[i];
-        }
-        return out;
+  return internal::MatVecCore(
+      array_.chunks(), num_row_blocks(), /*contract_rows=*/true, v, cols_,
+      /*out_is_column=*/false,
+      [bs](const Chunk& tile, const std::vector<double>& x,
+           std::vector<double>* y) {
+        tile.ForEachValid([&](uint32_t off, double av) {
+          const uint32_t r = off / bs;
+          if (r < x.size()) (*y)[off % bs] += av * x[r];
+        });
       });
-  std::vector<double> zeros(cols_, 0.0);
-  BlockVector base = BlockVector::FromDense(ctx(), zeros, block_,
-                                            v.blocks().num_partitions());
-  auto merged = base.blocks().CoGroup(reduced).MapValues(
-      [](const std::pair<std::vector<VecBlock>, std::vector<VecBlock>>&
-             sides) {
-        VecBlock blk = sides.first.front();
-        for (const VecBlock& add : sides.second) {
-          for (size_t i = 0; i < blk.values.size(); ++i) {
-            blk.values[i] += add.values[i];
-          }
-        }
-        return blk;
-      });
-  return BlockVector::FromBlocks(cols_, block_, /*is_column=*/false,
-                                 std::move(merged));
 }
 
 }  // namespace spangle

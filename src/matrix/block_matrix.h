@@ -119,11 +119,18 @@ class BlockMatrix {
   Result<BlockMatrix> Multiply(const BlockMatrix& other,
                                const MatMulOptions& options = {}) const;
 
-  /// M x v (column vector in, column vector out).
+  /// M x v (column vector in, column vector out). Each tile is multiplied
+  /// in the partition of the vector block it reads; only per-row-block
+  /// partial sums shuffle. A matrix placed kByColBlock with the vector's
+  /// partition count moves no tiles; any other placement re-places them
+  /// once per call.
   Result<BlockVector> MultiplyVector(const BlockVector& v) const;
 
   /// vT x M (row vector in, row vector out). Never transposes the matrix;
   /// with a metadata-transposed vector this is the opt1 path of Eq. 3.
+  /// The same pipeline as MultiplyVector with rows and columns swapped:
+  /// kByRowBlock placement with the vector's partition count moves no
+  /// tiles.
   Result<BlockVector> LeftMultiplyVector(const BlockVector& v) const;
 
   /// Narrow row-band selection: keeps only tiles whose row block index is

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
-#include <map>
 #include <numeric>
 #include <unordered_map>
 
+#include "matrix/matvec.h"
 #include "matrix/partition.h"
 
 namespace spangle {
@@ -120,79 +120,18 @@ Result<BlockVector> MaskMatrix::MultiplyVector(const BlockVector& v) const {
   if (v.block() != block_) {
     return Status::InvalidArgument("vector block size mismatch");
   }
-  const uint64_t nb = num_blocks_1d();
   const uint32_t bs = static_cast<uint32_t>(block_);
-  // Tile (rb, cb) reads vector block cb: placing the tiles by column
-  // block with the vector's hash placement puts both in one partition.
-  const int parts = v.blocks().num_partitions();
-  auto vec_p = std::make_shared<HashPartitioner<uint64_t>>(parts);
-  PairRdd<uint64_t, VecBlock> blocks = v.blocks();
-  if (blocks.partitioner() == nullptr ||
-      !blocks.partitioner()->Equals(*vec_p)) {
-    blocks = blocks.PartitionBy(vec_p);
-  }
-  auto tile_p = std::make_shared<BlockPartitioner>(PartitionScheme::kByColBlock,
-                                                   nb, parts);
-  PairRdd<ChunkId, MaskTile> tiles = tiles_;
-  if (!tiles.partitioner()->Equals(*tile_p)) tiles = tiles.PartitionBy(tile_p);
-  const uint64_t n = n_;
-  const uint64_t block = block_;
-  using Tile = std::pair<ChunkId, MaskTile>;
-  using Block = std::pair<uint64_t, VecBlock>;
-  auto partials = ToPair<uint64_t, VecBlock>(
-      tiles.AsRdd().ZipPartitions<Block, Block>(
-          blocks.AsRdd(),
-          [nb, bs, n, block](int, const std::vector<Tile>& part_tiles,
-                             const std::vector<Block>& part_blocks) {
-            std::unordered_map<uint64_t, const VecBlock*> by_col;
-            for (const auto& [cb, vb] : part_blocks) by_col.emplace(cb, &vb);
-            // One partial sum per row block this partition touches.
-            std::map<uint64_t, VecBlock> sums;
-            for (const auto& [id, tile] : part_tiles) {
-              auto it = by_col.find(id / nb);
-              if (it == by_col.end()) continue;
-              const std::vector<double>& x = it->second->values;
-              const uint64_t rb = id % nb;
-              std::vector<double>& y = sums[rb].values;
-              if (y.empty()) {
-                y.assign(std::min<uint64_t>(block, n - rb * block), 0.0);
-              }
-              tile.ForEachSetBit([&](size_t off) {
-                const uint32_t r = static_cast<uint32_t>(off) / bs;
-                const uint32_t c = static_cast<uint32_t>(off) % bs;
-                if (c < x.size() && r < y.size()) y[r] += x[c];
-              });
-            }
-            return std::vector<Block>(std::make_move_iterator(sums.begin()),
-                                      std::make_move_iterator(sums.end()));
-          },
-          "maskMultiply"));
-  auto reduced = partials.ReduceByKey(
-      [](const VecBlock& a, const VecBlock& b) {
-        VecBlock out = a;
-        for (size_t i = 0; i < out.values.size(); ++i) {
-          out.values[i] += b.values[i];
-        }
-        return out;
-      },
-      vec_p);
-  // Row blocks with no set bit still need zero blocks so the result is a
-  // complete dense vector.
-  std::vector<double> zeros(n_, 0.0);
-  BlockVector base = BlockVector::FromDense(ctx(), zeros, block_, parts);
-  auto merged = base.blocks().CoGroup(reduced).MapValues(
-      [](const std::pair<std::vector<VecBlock>, std::vector<VecBlock>>&
-             sides) {
-        VecBlock blk = sides.first.front();
-        for (const VecBlock& add : sides.second) {
-          for (size_t i = 0; i < blk.values.size(); ++i) {
-            blk.values[i] += add.values[i];
-          }
-        }
-        return blk;
+  return internal::MatVecCore(
+      tiles_, num_blocks_1d(), /*contract_rows=*/false, v, n_,
+      /*out_is_column=*/true,
+      [bs](const MaskTile& tile, const std::vector<double>& x,
+           std::vector<double>* y) {
+        tile.ForEachSetBit([&](size_t off) {
+          const uint32_t r = static_cast<uint32_t>(off) / bs;
+          const uint32_t c = static_cast<uint32_t>(off) % bs;
+          if (c < x.size() && r < y->size()) (*y)[r] += x[c];
+        });
       });
-  return BlockVector::FromBlocks(n_, block_, /*is_column=*/true,
-                                 std::move(merged));
 }
 
 std::vector<uint64_t> MaskMatrix::ColumnDegrees() const {

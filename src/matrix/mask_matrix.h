@@ -76,7 +76,7 @@ class MaskMatrix {
   /// the matrix side. Tiles are read in place against the co-placed
   /// vector blocks (a narrow zip); only the row-block partial sums
   /// shuffle. A vector with a different partition count re-places the
-  /// tiles first.
+  /// tiles first. Same pipeline as BlockMatrix::MultiplyVector.
   Result<BlockVector> MultiplyVector(const BlockVector& v) const;
 
   /// Out-degree of every column (number of set bits per column), used to

@@ -57,44 +57,5 @@ Result<FrameHeader> ParseFrameHeader(const char* data) {
   return h;
 }
 
-// spangle-lint: untrusted — buffers raw socket bytes.
-void FrameDecoder::Feed(const char* data, size_t n) {
-  if (!error_.ok()) return;  // corrupt stream: stop buffering
-  // Compact the consumed prefix before growing, so a long-lived
-  // connection does not accumulate every frame it ever received.
-  if (consumed_ > 0 && consumed_ == buf_.size()) {
-    buf_.clear();
-    consumed_ = 0;
-  } else if (consumed_ > (64u << 10)) {
-    buf_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  buf_.append(data, n);
-}
-
-// spangle-lint: untrusted — frames a byte stream a remote peer controls;
-// a malformed header latches error_ and poisons the connection.
-Result<std::optional<Frame>> FrameDecoder::Next() {
-  if (!error_.ok()) return error_;
-  if (buf_.size() - consumed_ < kFrameHeaderBytes) {
-    return std::optional<Frame>();
-  }
-  auto header = ParseFrameHeader(buf_.data() + consumed_);
-  if (!header.ok()) {
-    error_ = header.status();
-    return error_;
-  }
-  const size_t total = kFrameHeaderBytes + header->payload_len;
-  if (buf_.size() - consumed_ < total) {
-    return std::optional<Frame>();
-  }
-  Frame f;
-  f.type = header->type;
-  f.payload.assign(buf_.data() + consumed_ + kFrameHeaderBytes,
-                   header->payload_len);
-  consumed_ += total;
-  return std::optional<Frame>(std::move(f));
-}
-
 }  // namespace net
 }  // namespace spangle

@@ -3,11 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/result.h"
-#include "common/status.h"
 #include "net/message.h"
 
 namespace spangle {
@@ -32,12 +30,6 @@ inline constexpr size_t kFrameHeaderBytes = 12;
 /// cannot make a receiver try to allocate the declared 4 GiB.
 inline constexpr uint32_t kMaxFramePayload = 256u << 20;  // 256 MiB
 
-/// One decoded frame.
-struct Frame {
-  MessageType type = MessageType::kError;
-  std::string payload;
-};
-
 /// Appends the 12-byte header for a payload of `payload_len` bytes.
 /// The caller appends the payload itself (avoids copying large blocks).
 void AppendFrameHeader(MessageType type, uint32_t payload_len,
@@ -54,34 +46,6 @@ struct FrameHeader {
   uint32_t payload_len = 0;
 };
 Result<FrameHeader> ParseFrameHeader(const char* data);
-
-/// Incremental frame reassembler: Feed() arbitrary chunks of a byte
-/// stream (as the kernel hands them out of a socket), then drain complete
-/// frames with Next(). Malformed input (bad magic, unknown type, nonzero
-/// reserved bytes, oversized payload) makes the decoder fail sticky:
-/// every later Next() returns the same error, because a framing error
-/// means the stream position is unrecoverable.
-class FrameDecoder {
- public:
-  FrameDecoder() = default;
-
-  FrameDecoder(const FrameDecoder&) = delete;
-  FrameDecoder& operator=(const FrameDecoder&) = delete;
-
-  void Feed(const char* data, size_t n);
-
-  /// One of three outcomes: a complete Frame, std::nullopt (feed more
-  /// bytes), or an error Status (stream is corrupt; sticky).
-  Result<std::optional<Frame>> Next();
-
-  /// Bytes buffered but not yet returned as frames.
-  size_t buffered_bytes() const { return buf_.size() - consumed_; }
-
- private:
-  std::string buf_;
-  size_t consumed_ = 0;  // prefix of buf_ already returned as frames
-  Status error_;         // non-OK once the stream is corrupt
-};
 
 }  // namespace net
 }  // namespace spangle

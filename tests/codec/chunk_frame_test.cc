@@ -3,7 +3,7 @@
 // malformed input — truncations, single-byte corruptions, structural
 // lies in the header or section table — must surface as a Status, never
 // a crash. Frames cross process boundaries (spill files, RPC payloads),
-// so the corruption sweep mirrors the net layer's FrameDecoder tests.
+// so the corruption sweep mirrors the net layer's Connection::Recv tests.
 
 #include "codec/chunk_frame.h"
 

@@ -2,7 +2,7 @@
 // spillable shape — mixed payload density (1% / 10% / 90%), empty
 // bitmasks (all-zero payloads), zero-length payloads, adversarial key
 // patterns — must round-trip BIT-exactly through the chunk frame, and
-// sparse partitions must encode strictly smaller than the legacy
+// sparse partitions must encode strictly smaller than the
 // record-at-a-time format. Comparisons go through the byte
 // representation (memcmp), not operator==, so -0.0, NaN payloads, and
 // denormals cannot hide a lossy encoder.
@@ -97,9 +97,11 @@ TEST(ColumnarCodec, SparsePartitionsBeatTheLegacyFormat) {
   for (const double density : {0.01, 0.10}) {
     const auto records = SparsePairs(4000, density, 99);
     const EncodedFrame frame = EncodePartitionFrame(records);
-    const std::string old_bytes = legacy::EncodePartition(records);
+    // Record at a time: a uint32 record count, then each record's bytes.
+    std::string old_bytes(sizeof(uint32_t), '\0');
+    for (const auto& rec : records) Encode(rec, &old_bytes);
     EXPECT_EQ(frame.raw_bytes, old_bytes.size())
-        << "raw_bytes must report the legacy encoding's size";
+        << "raw_bytes must report the record-at-a-time size";
     EXPECT_LT(frame.bytes.size(), old_bytes.size())
         << "a " << density * 100 << "% dense partition must encode "
         << "strictly smaller than record-at-a-time";
@@ -217,7 +219,7 @@ TEST(ColumnarCodec, RandomizedMixedShapeSweep) {
 
 // Truncation/corruption sweep at the typed-decode level: a frame that
 // fails validation must come back as a Status from DecodePartitionFrame,
-// mirroring the FrameDecoder sticky-error tests in the net suite.
+// mirroring the Connection::Recv bad-header tests in the net suite.
 TEST(ColumnarCodec, TruncationAndCorruptionSurfaceAsStatus) {
   const auto records = SparsePairs(300, 0.5, 123);
   const EncodedFrame frame = EncodePartitionFrame(records);

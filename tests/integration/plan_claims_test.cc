@@ -134,6 +134,45 @@ TEST(PlanClaimsTest, PageRankMatrixVectorShufflesOnlyTheRowBlockReduce) {
   for (uint64_t i = 0; i < n; ++i) EXPECT_NEAR(other_got[i], want[i], 1e-9);
 }
 
+// The matrix placed by its contraction block sits next to the vector
+// blocks it reads, so only the output partial sums shuffle: kByColBlock
+// for M x v, kByRowBlock for vT x M.
+TEST(PlanClaimsTest, CoPlacedMatrixVectorShufflesOnlyThePartialSums) {
+  Context ctx(2);
+  const int parts = 4;
+  const uint64_t rows = 64, cols = 48, block = 8;
+  const auto entries = RandomEntries(rows, cols, 0.3, 8);
+  std::vector<double> x(cols), u(rows);
+  for (uint64_t c = 0; c < cols; ++c) x[c] = 1.0 + 0.01 * c;
+  for (uint64_t r = 0; r < rows; ++r) u[r] = 2.0 - 0.01 * r;
+  struct Case {
+    PartitionScheme scheme;
+    bool left;
+  };
+  for (const Case& c : {Case{PartitionScheme::kByColBlock, false},
+                        Case{PartitionScheme::kByRowBlock, true}}) {
+    SCOPED_TRACE(c.left ? "vT x M" : "M x v");
+    auto a = *BlockMatrix::FromEntries(&ctx, rows, cols, block, entries,
+                                       ModePolicy::Auto(), c.scheme, parts);
+    a.Cache();
+    const size_t a_bytes = a.MemoryBytes();
+    auto y = c.left ? *a.LeftMultiplyVector(
+                          BlockVector::FromDense(&ctx, u, block, parts)
+                              .TransposeMetadata())
+                    : *a.MultiplyVector(
+                          BlockVector::FromDense(&ctx, x, block, parts));
+    PhysicalPlan plan = ctx.BuildPlan(y.blocks().AsRdd().node(), "collect");
+    EXPECT_EQ(plan.NumPendingShuffleStages(), 1);
+    const std::string text = plan.ToString();
+    for (const char* op : {"partitionBy", "join", "cogroup"}) {
+      EXPECT_EQ(text.find(op), std::string::npos) << op << "\n" << text;
+    }
+    const uint64_t bytes_before = ctx.metrics().shuffle_bytes.load();
+    y.ToDense();
+    EXPECT_LT(ctx.metrics().shuffle_bytes.load() - bytes_before, a_bytes);
+  }
+}
+
 ArrayRdd Ramp(Context* ctx) {
   const ArrayMetadata meta =
       *ArrayMetadata::Make({{"x", 0, 16, 4, 0}, {"y", 0, 16, 4, 0}});

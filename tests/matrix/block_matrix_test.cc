@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "common/random.h"
 
@@ -360,6 +364,71 @@ TEST(BlockMatrixTest, LeftMultiplyVectorMatchesReference) {
     EXPECT_NEAR(got[c], want, 1e-9);
   }
 }
+
+// M x v and vT x M over every placement, with a vector of the matrix's
+// partition count and of another one. 23 x 17 in 4 x 4 tiles leaves a
+// ragged last row and column block; row block 2 and column block 1 are
+// all zero, so each product has an output block that no tile reaches.
+class MatVecPlacementTest
+    : public ::testing::TestWithParam<std::tuple<PartitionScheme, int>> {};
+
+TEST_P(MatVecPlacementTest, BothProductsMatchDenseReference) {
+  const auto [scheme, vec_parts] = GetParam();
+  Context ctx(2);
+  const uint64_t m = 23, n = 17, bs = 4;
+  auto entries = RandomEntries(m, n, 0.35, 21);
+  std::erase_if(entries, [](const MatrixEntry& e) {
+    return e.row / 4 == 2 || e.col / 4 == 1;
+  });
+  auto a = *BlockMatrix::FromEntries(&ctx, m, n, bs, entries,
+                                     ModePolicy::Auto(), scheme, 3);
+  const auto dense = DenseOf(entries, m, n);
+  std::vector<double> x(n), u(m);
+  for (uint64_t c = 0; c < n; ++c) x[c] = 0.25 * c - 1.5;
+  for (uint64_t r = 0; r < m; ++r) u[r] = 1.0 - 0.1 * r;
+  auto y = *a.MultiplyVector(BlockVector::FromDense(&ctx, x, bs, vec_parts));
+  auto z = *a.LeftMultiplyVector(
+      BlockVector::FromDense(&ctx, u, bs, vec_parts).TransposeMetadata());
+  EXPECT_TRUE(y.is_column());
+  EXPECT_FALSE(z.is_column());
+  EXPECT_EQ(y.blocks().Count(), y.num_blocks()) << "every block present";
+  EXPECT_EQ(z.blocks().Count(), z.num_blocks()) << "every block present";
+  const auto near = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::abs(want)));
+  };
+  const auto got_y = y.ToDense();
+  ASSERT_EQ(got_y.size(), m);
+  for (uint64_t r = 0; r < m; ++r) {
+    double want = 0;
+    for (uint64_t c = 0; c < n; ++c) want += dense[r * n + c] * x[c];
+    near(got_y[r], want);
+  }
+  const auto got_z = z.ToDense();
+  ASSERT_EQ(got_z.size(), n);
+  for (uint64_t c = 0; c < n; ++c) {
+    double want = 0;
+    for (uint64_t r = 0; r < m; ++r) want += dense[r * n + c] * u[r];
+    near(got_z[c], want);
+  }
+  for (uint64_t r = 8; r < 12; ++r) EXPECT_EQ(got_y[r], 0.0);
+  for (uint64_t c = 4; c < 8; ++c) EXPECT_EQ(got_z[c], 0.0);
+}
+
+std::string PlacementName(
+    const ::testing::TestParamInfo<std::tuple<PartitionScheme, int>>& info) {
+  static const char* const kNames[] = {"HashChunk", "ByRowBlock",
+                                       "ByColBlock"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "_vec" + std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, MatVecPlacementTest,
+    ::testing::Combine(::testing::Values(PartitionScheme::kHashChunk,
+                                         PartitionScheme::kByRowBlock,
+                                         PartitionScheme::kByColBlock),
+                       ::testing::Values(3, 2)),
+    PlacementName);
 
 TEST(BlockMatrixTest, VectorMultiplyDimensionChecks) {
   Context ctx(2);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "workload/graph_gen.h"
 
@@ -96,6 +98,47 @@ TEST(PageRankTest, RanksFormADistributionUpToDanglingLoss) {
   // The basic variant leaks dangling mass, so sum <= 1.
   EXPECT_LE(sum, 1.0 + 1e-9);
   EXPECT_GT(sum, 0.5);
+}
+
+/// FNV-1a over the bit patterns of `ranks`: equal hashes mean equal bits.
+uint64_t HashOfBits(const std::vector<double>& ranks) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (double r : ranks) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &r, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Pins the ranks bit for bit. A'v sums one partial per row block per
+// partition in tile order, reduces once, and adds each block onto 0.0;
+// with dangling redistribution the rank sum also depends on the record
+// order of the result. A change to either order changes these hashes.
+TEST(PageRankTest, RanksArePinnedBitForBit) {
+  RmatOptions g;
+  g.scale = 10;  // 1024 vertices, 16 row blocks over 5 partitions
+  g.edges_per_vertex = 8;
+  const auto edges = GenerateRmat(g);
+  PageRankOptions options;
+  options.block = 64;
+  options.iterations = 12;
+  options.num_partitions = 5;
+  for (const bool super_sparse : {false, true}) {
+    SCOPED_TRACE(super_sparse ? "super-sparse" : "flat");
+    Context ctx(3);
+    options.super_sparse = super_sparse;
+    const auto result = *PageRank(&ctx, 1024, edges, options);
+    EXPECT_EQ(HashOfBits(result.ranks), 0x02c880b37bc910f9ULL);
+  }
+  Context ctx(3);
+  options.super_sparse = false;
+  options.redistribute_dangling = true;
+  const auto result = *PageRank(&ctx, 1024, edges, options);
+  EXPECT_EQ(HashOfBits(result.ranks), 0x135e3b2d019a243fULL);
 }
 
 TEST(PageRankTest, EmptyGraphFails) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -148,6 +149,39 @@ TEST(DistributedModeTest, MatmulMatchesLocalBitExactly) {
   Context local(2, 4);
   Context dist(2, 4, 0, {}, Distributed(2));
   EXPECT_EQ(multiply(&dist), multiply(&local));
+}
+
+TEST(DistributedModeTest, BlockMatrixMatVecMatchesLocalBitExactly) {
+  Rng rng(13);
+  std::vector<MatrixEntry> entries;
+  for (uint64_t r = 0; r < 30; ++r) {
+    for (uint64_t c = 0; c < 22; ++c) {
+      if (rng.NextBool(0.3)) entries.push_back({r, c, rng.NextDouble(-2, 2)});
+    }
+  }
+  std::vector<double> x(22), u(30);
+  for (size_t i = 0; i < x.size(); ++i) x[i] = rng.NextDouble(-1, 1);
+  for (size_t i = 0; i < u.size(); ++i) u[i] = rng.NextDouble(-1, 1);
+  // Hash-placed tiles shuffle to the vector blocks, so both products move
+  // tiles and partial sums through the data plane.
+  auto products = [&](Context* ctx) {
+    auto a = *BlockMatrix::FromEntries(ctx, 30, 22, 8, entries);
+    auto y = a.MultiplyVector(BlockVector::FromDense(ctx, x, 8, 3));
+    auto z = a.LeftMultiplyVector(BlockVector::FromDense(ctx, u, 8, 3));
+    std::vector<uint64_t> bits;
+    for (const auto& dense : {y->ToDense(), z->ToDense()}) {
+      for (double d : dense) {
+        uint64_t b = 0;
+        std::memcpy(&b, &d, sizeof(b));
+        bits.push_back(b);
+      }
+    }
+    return bits;
+  };
+  Context local(2, 4);
+  Context dist(2, 4, 0, {}, Distributed(2));
+  EXPECT_EQ(products(&dist), products(&local));
+  EXPECT_GT(dist.metrics().remote_shuffle_fetches.load(), 0u);
 }
 
 TEST(DistributedChaosTest, ChaosSigkillMidJobRecoversThroughLineage) {

@@ -1,16 +1,23 @@
 // Wire-format round-trip suite for the net layer: every RPC message and
 // the frame codec must survive encode -> split-into-arbitrary-chunks ->
-// decode bit-exactly, and every malformed input must surface as a Status
-// (never a crash) — the bytes cross a process boundary.
+// Connection::Recv bit-exactly, and every malformed input must surface
+// as a Status (never a crash) — the bytes cross a process boundary.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "net/connection.h"
 #include "net/frame.h"
 #include "net/message.h"
+#include "net/socket.h"
 
 namespace spangle {
 namespace net {
@@ -316,11 +323,9 @@ TEST(FrameCodec, RetiredTypeFails) {
     std::string frame;
     EncodeFrame(MessageType::kHeartbeatRequest, "", &frame);
     frame[4] = retired;
-    FrameDecoder dec;
-    dec.Feed(frame.data(), frame.size());
-    const auto next = dec.Next();
-    ASSERT_FALSE(next.ok());
-    EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+    const auto header = ParseFrameHeader(frame.data());
+    ASSERT_FALSE(header.ok());
+    EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -341,38 +346,59 @@ TEST(FrameCodec, OversizedLengthFails) {
   EXPECT_EQ(header.status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(FrameDecoderTest, TruncatedFrameIsNeedMoreNotError) {
-  std::string frame;
-  EncodeFrame(MessageType::kPutBlockRequest, "abcdef", &frame);
-  FrameDecoder dec;
-  dec.Feed(frame.data(), frame.size() - 1);  // one byte short
-  auto next = dec.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(next->has_value());  // waiting, not corrupt
-  dec.Feed(frame.data() + frame.size() - 1, 1);
-  next = dec.Next();
-  ASSERT_TRUE(next.ok());
-  ASSERT_TRUE(next->has_value());
-  EXPECT_EQ((*next)->payload, "abcdef");
+// ---------------------------------------------------------------------
+// Connection::Recv over a socketpair: the receive path reads one header,
+// validates it, then reads exactly the declared payload. The far end
+// writes raw bytes, so a test controls every byte and every boundary.
+
+struct RawPeer {
+  Socket writer;
+  Connection reader;
+};
+
+RawPeer MakeRawPeer() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket reader(fds[1]);
+  // A broken receive path fails the test instead of hanging it.
+  EXPECT_TRUE(reader.SetRecvTimeoutMs(10000).ok());
+  return RawPeer{Socket(fds[0]), Connection(std::move(reader))};
 }
 
-TEST(FrameDecoderTest, CorruptStreamErrorIsSticky) {
+Status WriteRaw(Socket* s, const char* data, size_t n) {
+  iovec iov{const_cast<char*>(data), n};
+  return s->SendAllv(&iov, 1);
+}
+
+TEST(ConnectionRecvTest, PeerClosingOneByteShortIsAnError) {
+  std::string frame;
+  EncodeFrame(MessageType::kPutBlockRequest, "abcdef", &frame);
+  RawPeer peer = MakeRawPeer();
+  ASSERT_TRUE(WriteRaw(&peer.writer, frame.data(), frame.size() - 1).ok());
+  peer.writer.Close();
+  MessageType type = MessageType::kError;
+  std::string payload;
+  const Status st = peer.reader.Recv(&type, &payload);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+}
+
+TEST(ConnectionRecvTest, BadMagicIsAnError) {
   std::string frame;
   EncodeFrame(MessageType::kHeartbeatRequest, "", &frame);
   frame[0] = '?';
-  FrameDecoder dec;
-  dec.Feed(frame.data(), frame.size());
-  EXPECT_FALSE(dec.Next().ok());
-  // A later good frame cannot resurrect the stream.
-  std::string good;
-  EncodeFrame(MessageType::kHeartbeatRequest, "", &good);
-  dec.Feed(good.data(), good.size());
-  EXPECT_FALSE(dec.Next().ok());
+  RawPeer peer = MakeRawPeer();
+  ASSERT_TRUE(WriteRaw(&peer.writer, frame.data(), frame.size()).ok());
+  MessageType type = MessageType::kError;
+  std::string payload;
+  const Status st = peer.reader.Recv(&type, &payload);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 }
 
-// The property test: a stream of every message type, fed to the decoder
-// in random chunk sizes, must reproduce every frame bit-exactly.
-TEST(FrameDecoderTest, ArbitraryChunkingRoundTrips) {
+// The property test: a stream of every message type, written in random
+// chunk sizes, must come back from Recv bit-exactly, frame by frame.
+TEST(ConnectionRecvTest, ArbitraryChunkingRoundTrips) {
   // One payload per message type, sizes from empty to ~64KiB.
   std::vector<std::pair<MessageType, std::string>> frames;
   auto add = [&frames](MessageType t, const auto& msg) {
@@ -414,44 +440,56 @@ TEST(FrameDecoderTest, ArbitraryChunkingRoundTrips) {
 
   std::mt19937 rng(20240807);  // fixed seed: reproducible failures
   for (int trial = 0; trial < 100; ++trial) {
-    FrameDecoder dec;
-    std::vector<Frame> decoded;
-    size_t off = 0;
+    RawPeer peer = MakeRawPeer();
+    std::vector<size_t> chunks;
     std::uniform_int_distribution<size_t> chunk(1, 4096);
-    while (off < stream.size()) {
-      const size_t n = std::min(chunk(rng), stream.size() - off);
-      dec.Feed(stream.data() + off, n);
-      off += n;
-      while (true) {
-        auto next = dec.Next();
-        ASSERT_TRUE(next.ok()) << next.status().ToString();
-        if (!next->has_value()) break;
-        decoded.push_back(std::move(**next));
-      }
+    for (size_t off = 0; off < stream.size(); off += chunks.back()) {
+      chunks.push_back(std::min(chunk(rng), stream.size() - off));
     }
-    ASSERT_EQ(decoded.size(), frames.size());
+    Status written;
+    std::thread writer([&] {
+      size_t off = 0;
+      for (size_t n : chunks) {
+        written = WriteRaw(&peer.writer, stream.data() + off, n);
+        if (!written.ok()) return;
+        off += n;
+      }
+    });
+    std::vector<std::pair<MessageType, std::string>> got;
+    Status received;
+    while (received.ok() && got.size() < frames.size()) {
+      MessageType type = MessageType::kError;
+      std::string payload;
+      received = peer.reader.Recv(&type, &payload);
+      if (received.ok()) got.emplace_back(type, std::move(payload));
+    }
+    peer.reader.ShutdownBoth();  // a writer blocked after a failure fails
+    writer.join();
+    ASSERT_TRUE(received.ok()) << "frame " << got.size() << ": "
+                               << received.ToString();
+    ASSERT_TRUE(written.ok()) << written.ToString();
     for (size_t i = 0; i < frames.size(); ++i) {
-      EXPECT_EQ(decoded[i].type, frames[i].first) << "frame " << i;
-      EXPECT_EQ(decoded[i].payload, frames[i].second) << "frame " << i;
+      EXPECT_EQ(got[i].first, frames[i].first) << "frame " << i;
+      EXPECT_EQ(got[i].second, frames[i].second) << "frame " << i;
     }
   }
 }
 
-TEST(FrameDecoderTest, GarbagePayloadSurfacesAsParseStatus) {
+TEST(ConnectionRecvTest, GarbagePayloadSurfacesAsParseStatus) {
   // A well-framed but semantically garbage payload passes the frame
   // layer (it checks framing only) and must then fail message Parse with
   // a Status — the server handler path for malformed requests.
   std::string garbage(17, '\xee');
   std::string frame;
   EncodeFrame(MessageType::kPutBlockRequest, garbage, &frame);
-  FrameDecoder dec;
-  dec.Feed(frame.data(), frame.size());
-  auto next = dec.Next();
-  ASSERT_TRUE(next.ok());
-  ASSERT_TRUE(next->has_value());
-  auto parsed = PutBlockRequest::Parse((*next)->payload.data(),
-                                       (*next)->payload.size());
-  EXPECT_FALSE(parsed.ok());
+  RawPeer peer = MakeRawPeer();
+  ASSERT_TRUE(WriteRaw(&peer.writer, frame.data(), frame.size()).ok());
+  MessageType type = MessageType::kError;
+  std::string payload;
+  ASSERT_TRUE(peer.reader.Recv(&type, &payload).ok());
+  EXPECT_EQ(type, MessageType::kPutBlockRequest);
+  EXPECT_EQ(payload, garbage);
+  EXPECT_FALSE(PutBlockRequest::Parse(payload.data(), payload.size()).ok());
 }
 
 }  // namespace

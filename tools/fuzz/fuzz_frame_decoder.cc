@@ -1,38 +1,26 @@
-// libFuzzer harness for the RPC framing layer: FrameDecoder::Feed/Next
-// and ParseFrameHeader. The decoder ingests raw socket bytes from a
-// remote peer, so every input — however malformed — must surface as a
-// Status, never a crash, hang, or overread. The input is split into
-// irregular Feed() chunks to exercise the partial-frame buffering and
-// the consumed-prefix compaction paths.
+// libFuzzer harness for the RPC framing layer. The input is read as a
+// byte stream from a remote peer, frame by frame, the way
+// Connection::Recv reads a socket: ParseFrameHeader on the next 12
+// bytes, then the declared payload length. Every input — however
+// malformed — must end in a Status or a short stream, never a crash,
+// hang, or overread.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "net/frame.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  spangle::net::FrameDecoder decoder;
-
-  // First byte picks the feed-chunk size so the corpus can explore
-  // different segmentation patterns (1-byte drip through one-shot).
-  size_t chunk = size == 0 ? 1 : static_cast<size_t>(data[0] % 64) + 1;
   const char* p = reinterpret_cast<const char*>(data);
   size_t off = 0;
-  while (off < size) {
-    const size_t n = std::min(chunk, size - off);
-    decoder.Feed(p + off, n);
-    off += n;
-    // Drain after every feed: interleaving Feed and Next is the real
-    // connection-serving loop (see RpcServer::ServeConnection).
-    for (;;) {
-      auto frame = decoder.Next();
-      if (!frame.ok() || !frame->has_value()) break;
-    }
-  }
-
-  if (size >= spangle::net::kFrameHeaderBytes) {
-    (void)spangle::net::ParseFrameHeader(p);
+  while (size - off >= spangle::net::kFrameHeaderBytes) {
+    auto header = spangle::net::ParseFrameHeader(p + off);
+    if (!header.ok()) break;  // Recv fails the connection here
+    off += spangle::net::kFrameHeaderBytes;
+    // A payload longer than the rest of the stream is a peer that closed
+    // mid-frame: Recv's read fails.
+    if (header->payload_len > size - off) break;
+    off += header->payload_len;
   }
   return 0;
 }
