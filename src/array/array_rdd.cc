@@ -64,28 +64,32 @@ Result<ArrayRdd> ArrayRdd::FromCellsDistributed(
     }
   }
   if (num_partitions <= 0) num_partitions = ctx->default_parallelism();
-  // Map: assign a ChunkId + offset to every cell (parallel).
-  auto keyed = ToPair<ChunkId, std::pair<uint32_t, double>>(
-      ctx->Parallelize(cells, num_partitions)
-          .Map([mapper](const CellValue& cell) {
-            return std::pair<ChunkId, std::pair<uint32_t, double>>(
-                mapper->ChunkIdFromCoords(cell.pos),
-                {mapper->LocalOffset(cell.pos), cell.value});
-          }));
-  // Reduce: group by ChunkId, build payload + bitmask per chunk.
-  auto partitioner =
-      std::make_shared<HashPartitioner<ChunkId>>(num_partitions);
-  const uint32_t cpc = mapper->cells_per_chunk();
-  auto chunks =
-      keyed.GroupByKey(partitioner)
-          .MapValues([policy, cpc](
-                         const std::vector<std::pair<uint32_t, double>>&
-                             chunk_cells) {
-            auto copy = chunk_cells;
-            const ChunkMode mode = ModeFor(policy, cpc, chunk_cells.size());
-            return Chunk::FromCells(cpc, std::move(copy), mode);
-          });
-  return ArrayRdd(meta, std::move(chunks));
+  // Map: assign a ChunkId + offset to every cell (parallel); reduce: group
+  // by ChunkId, build payload + bitmask per chunk.
+  auto keyed = ctx->Parallelize(cells, num_partitions)
+                   .Map([mapper](const CellValue& cell) {
+                     return std::pair<ChunkId, std::pair<uint32_t, double>>(
+                         mapper->ChunkIdFromCoords(cell.pos),
+                         {mapper->LocalOffset(cell.pos), cell.value});
+                   });
+  return ArrayRdd(
+      meta, GroupIntoChunks(
+                std::move(keyed), mapper->cells_per_chunk(), policy,
+                std::make_shared<HashPartitioner<ChunkId>>(num_partitions)));
+}
+
+PairRdd<ChunkId, Chunk> GroupIntoChunks(
+    Rdd<std::pair<ChunkId, std::pair<uint32_t, double>>> cells,
+    uint32_t num_cells, ModePolicy policy,
+    std::shared_ptr<Partitioner<ChunkId>> p) {
+  return ToPair<ChunkId, std::pair<uint32_t, double>>(std::move(cells))
+      .GroupByKey(std::move(p))
+      .MapValues([policy, num_cells](
+                     const std::vector<std::pair<uint32_t, double>>& group) {
+        auto copy = group;
+        return Chunk::FromCells(num_cells, std::move(copy),
+                                ModeFor(policy, num_cells, group.size()));
+      });
 }
 
 Result<ArrayRdd> ArrayRdd::FromDenseBuffer(

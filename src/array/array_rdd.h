@@ -124,6 +124,14 @@ class ArrayRdd {
   PairRdd<ChunkId, Chunk> chunks_;
 };
 
+/// Chunks of `num_cells` cells built from cells scattered as (ChunkId,
+/// (offset, value)) records: one GroupByKey on `p` (default: hash), then
+/// each chunk in the mode `policy` picks.
+PairRdd<ChunkId, Chunk> GroupIntoChunks(
+    Rdd<std::pair<ChunkId, std::pair<uint32_t, double>>> cells,
+    uint32_t num_cells, ModePolicy policy = ModePolicy::Auto(),
+    std::shared_ptr<Partitioner<ChunkId>> p = nullptr);
+
 }  // namespace spangle
 
 #endif  // SPANGLE_ARRAY_ARRAY_RDD_H_

@@ -105,6 +105,48 @@ class Chunk {
     }
   }
 
+  /// The rank cursor of ForEachValidInRange: a DeltaCounter over the
+  /// validity mask (its upper level in super-sparse mode).
+  DeltaCounter RangeCounter() const {
+    return DeltaCounter(mode_ == ChunkMode::kSuperSparse ? hmask_.upper_mask()
+                                                         : mask_);
+  }
+
+  /// Visits every valid cell in [begin, end) in offset order: fn(offset,
+  /// value). Calls sharing one RangeCounter() with non-decreasing `begin`
+  /// (the rows of a box) count the payload index by delta and never
+  /// re-rank. Ranges are clamped to the chunk; a `begin` behind the cursor
+  /// restarts it.
+  template <typename Fn>
+  void ForEachValidInRange(uint32_t begin, uint32_t end, DeltaCounter* counter,
+                           Fn&& fn) const {
+    switch (mode_) {
+      case ChunkMode::kDense:
+        mask_.ForEachSetBitInRange(begin, end, [&](size_t off) {
+          fn(static_cast<uint32_t>(off), payload_[off]);
+        });
+        break;
+      case ChunkMode::kSparse: {
+        if (begin >= num_cells_) break;
+        if (counter->position() > begin) *counter = RangeCounter();
+        size_t idx = counter->AdvanceTo(begin);
+        mask_.ForEachSetBitInRange(begin, end, [&](size_t off) {
+          fn(static_cast<uint32_t>(off), payload_[idx++]);
+        });
+        break;
+      }
+      case ChunkMode::kSuperSparse:
+        if (counter->position() > begin / Bitmask::kBitsPerWord) {
+          *counter = RangeCounter();
+        }
+        hmask_.ForEachSetBitInRange(begin, end, counter,
+                                    [&](size_t off, uint64_t rank) {
+          fn(static_cast<uint32_t>(off), payload_[rank]);
+        });
+        break;
+    }
+  }
+
   /// The valid cells as (offset, value) pairs, offset-ascending.
   std::vector<std::pair<uint32_t, double>> ToCells() const;
 

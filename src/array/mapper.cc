@@ -1,5 +1,7 @@
 #include "array/mapper.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace spangle {
@@ -138,6 +140,37 @@ std::vector<ChunkId> Mapper::ChunkIdsInRange(const Coords& lo,
     if (d == nd) break;
   }
   return out;
+}
+
+ChunkBox ChunkBox::Core(const Mapper& mapper, ChunkId cid) {
+  ChunkBox box;
+  for (size_t d = 0; d < mapper.metadata().num_dims(); ++d) {
+    const Dimension& dim = mapper.metadata().dim(d);
+    const int64_t start = mapper.ChunkStart(cid, d);
+    box.origin.push_back(start);
+    box.ext.push_back(dim.chunk_size);
+    box.lo.push_back(start);
+    box.hi.push_back(std::min(start + static_cast<int64_t>(dim.chunk_size),
+                              dim.start + static_cast<int64_t>(dim.size)));
+  }
+  return box;
+}
+
+uint32_t ChunkBox::RowStart(const std::vector<size_t>& idx) const {
+  uint64_t offset = static_cast<uint64_t>(lo.back() - origin.back());
+  for (size_t d = ext.size() - 1, stride = 1; d-- > 0;) {
+    stride *= ext[d + 1];
+    offset += (static_cast<uint64_t>(lo[d] - origin[d]) + idx[d]) * stride;
+  }
+  return static_cast<uint32_t>(offset);
+}
+
+bool ChunkBox::NextRow(std::vector<size_t>* idx) const {
+  for (size_t d = ext.size() - 1; d-- > 0;) {
+    if (++(*idx)[d] < static_cast<size_t>(hi[d] - lo[d])) return true;
+    (*idx)[d] = 0;
+  }
+  return false;
 }
 
 }  // namespace spangle

@@ -67,6 +67,27 @@ class Mapper {
   uint32_t cells_per_chunk_ = 0;
 };
 
+/// The global box [lo, hi) of a row-major chunk whose extents are `ext`
+/// and whose local cell 0 sits at global `origin`. Rows run along the last
+/// dimension; a row is named by its indices into the box along the others.
+struct ChunkBox {
+  std::vector<int64_t> origin;
+  std::vector<uint64_t> ext;
+  std::vector<int64_t> lo;
+  std::vector<int64_t> hi;
+
+  /// A base chunk's own cells, clipped to the array's edge.
+  static ChunkBox Core(const Mapper& mapper, ChunkId cid);
+  /// Chunk offset of the first cell of row `idx`.
+  uint32_t RowStart(const std::vector<size_t>& idx) const;
+  /// Steps `idx` to the next row in row-major order; false after the last.
+  bool NextRow(std::vector<size_t>* idx) const;
+  /// Cells per row.
+  uint32_t width() const {
+    return static_cast<uint32_t>(hi.back() - lo.back());
+  }
+};
+
 }  // namespace spangle
 
 #endif  // SPANGLE_ARRAY_MAPPER_H_

@@ -20,50 +20,21 @@ void RecordDensity(const Bitmask& m) {
 
 Bitmask RangeMaskForChunk(const Mapper& mapper, ChunkId id, const Coords& lo,
                           const Coords& hi) {
-  const ArrayMetadata& meta = mapper.metadata();
-  const size_t nd = meta.num_dims();
   Bitmask mask(mapper.cells_per_chunk());
-  // Per-dimension local index span of the box within this chunk.
-  std::vector<uint32_t> first(nd), last(nd);
-  for (size_t d = 0; d < nd; ++d) {
-    const int64_t chunk_lo = mapper.ChunkStart(id, d);
-    const int64_t chunk_hi =
-        chunk_lo + static_cast<int64_t>(meta.dim(d).chunk_size) - 1;
-    const int64_t box_lo = std::max(lo[d], chunk_lo);
-    const int64_t box_hi = std::min(hi[d], chunk_hi);
-    if (box_lo > box_hi) return mask;  // disjoint: all zeros
-    first[d] = static_cast<uint32_t>(box_lo - chunk_lo);
-    last[d] = static_cast<uint32_t>(box_hi - chunk_lo);
+  // The closed box [lo, hi] clipped to the chunk's full extent; one
+  // SetRange per row.
+  ChunkBox box = ChunkBox::Core(mapper, id);
+  for (size_t d = 0; d < box.lo.size(); ++d) {
+    box.lo[d] = std::max(box.lo[d], lo[d]);
+    box.hi[d] = std::min(box.origin[d] + static_cast<int64_t>(box.ext[d]),
+                         hi[d] + 1);
+    if (box.lo[d] >= box.hi[d]) return mask;  // disjoint: all zeros
   }
-  // Walk every row of the box (all dims but the innermost) and set the
-  // innermost span with one SetRange per row.
-  std::vector<uint32_t> cur(first.begin(), first.end());
-  const size_t inner = nd - 1;
-  for (;;) {
-    uint32_t base = 0;
-    {
-      // Row-major offset of (cur[0..nd-2], first[inner]).
-      Coords pos(nd);
-      for (size_t d = 0; d < nd; ++d) {
-        pos[d] = mapper.ChunkStart(id, d) +
-                 static_cast<int64_t>(d == inner ? first[inner] : cur[d]);
-      }
-      base = mapper.LocalOffset(pos);
-    }
-    mask.SetRange(base, base + (last[inner] - first[inner] + 1));
-    if (nd == 1) break;
-    size_t d = nd - 1;
-    for (;;) {
-      if (d == 0) return mask;
-      --d;
-      if (cur[d] < last[d]) {
-        ++cur[d];
-        for (size_t j = d + 1; j < inner; ++j) cur[j] = first[j];
-        break;
-      }
-      cur[d] = first[d];
-    }
-  }
+  std::vector<size_t> idx(box.lo.size(), 0);
+  do {
+    const uint32_t begin = box.RowStart(idx);
+    mask.SetRange(begin, begin + box.width());
+  } while (box.NextRow(&idx));
   return mask;
 }
 

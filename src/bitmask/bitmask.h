@@ -1,6 +1,7 @@
 #ifndef SPANGLE_BITMASK_BITMASK_H_
 #define SPANGLE_BITMASK_BITMASK_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -103,6 +104,25 @@ class Bitmask {
       while (bits != 0) {
         const int tz = __builtin_ctzll(bits);
         fn(w * kBitsPerWord + static_cast<size_t>(tz));
+        bits &= bits - 1;
+      }
+    }
+  }
+
+  /// Calls fn(bit_index) for every set bit in [begin, end), in increasing
+  /// order; `end` is clamped to num_bits().
+  template <typename Fn>
+  void ForEachSetBitInRange(size_t begin, size_t end, Fn&& fn) const {
+    end = std::min(end, num_bits_);
+    if (begin >= end) return;
+    const size_t first = begin / kBitsPerWord;
+    const size_t last = (end - 1) / kBitsPerWord;
+    for (size_t w = first; w <= last; ++w) {
+      uint64_t bits = words_[w];
+      if (w == first) bits &= ~uint64_t{0} << (begin % kBitsPerWord);
+      if (w == last) bits &= ~uint64_t{0} >> (63 - (end - 1) % kBitsPerWord);
+      while (bits != 0) {
+        fn(w * kBitsPerWord + static_cast<size_t>(__builtin_ctzll(bits)));
         bits &= bits - 1;
       }
     }

@@ -83,6 +83,33 @@ class HierarchicalBitmask {
     });
   }
 
+  /// Calls fn(bit_index, rank) for every set bit in [begin, end), in
+  /// increasing order; rank is the bit's payload index. `upper` is a
+  /// DeltaCounter over upper_mask(): calls with non-decreasing `begin` share
+  /// it, so the stored-word index comes from the delta count. All-zero
+  /// lower words are skipped through the upper mask.
+  template <typename Fn>
+  void ForEachSetBitInRange(size_t begin, size_t end, DeltaCounter* upper,
+                            Fn&& fn) const {
+    constexpr size_t kBits = Bitmask::kBitsPerWord;
+    size_t stored = SIZE_MAX;  // index in lower_ of upper word w
+    upper_.ForEachSetBitInRange(begin / kBits, (end + kBits - 1) / kBits,
+                                [&](size_t w) {
+      stored = stored == SIZE_MAX ? upper->AdvanceTo(w) : stored + 1;
+      const size_t base = w * kBits;
+      uint64_t rank = lower_prefix_[stored];
+      for (uint64_t bits = lower_[stored]; bits != 0; bits &= bits - 1) {
+        const size_t bit = base + static_cast<size_t>(__builtin_ctzll(bits));
+        if (bit >= end) break;
+        if (bit >= begin) fn(bit, rank);
+        ++rank;
+      }
+    });
+  }
+
+  /// One bit per 64-bit lower word; set where that word has a set bit.
+  const Bitmask& upper_mask() const { return upper_; }
+
   /// In-memory footprint: upper mask + surviving lower words + prefix ranks.
   size_t SizeBytes() const {
     return upper_.SizeBytes() + lower_.size() * sizeof(uint64_t) +

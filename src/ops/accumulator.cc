@@ -1,6 +1,5 @@
 #include "ops/accumulator.h"
 
-#include <algorithm>
 #include <limits>
 #include <map>
 #include <unordered_map>
@@ -9,81 +8,61 @@ namespace spangle {
 
 namespace {
 
-/// Flattened identifier of an accumulation line: the cell's coordinates
-/// with the accumulation axis removed, keyed through a reduced mapper.
-uint64_t LineKey(const Mapper& reduced, const Coords& pos, size_t axis) {
-  Coords line_pos;
-  line_pos.reserve(pos.size() - 1);
-  for (size_t d = 0; d < pos.size(); ++d) {
-    if (d != axis) line_pos.push_back(pos[d]);
-  }
-  return reduced.ChunkIdFromCoords(line_pos) * reduced.cells_per_chunk() +
-         reduced.LocalOffset(line_pos);
-}
-
-/// 1-D arrays have no "other" dims; all cells share line 0.
-struct LineKeyer {
-  std::shared_ptr<const Mapper> reduced;  // nullptr for 1-D arrays
-  size_t axis;
-  uint64_t operator()(const Coords& pos) const {
-    return reduced == nullptr ? 0 : LineKey(*reduced, pos, axis);
-  }
-};
-
-LineKeyer MakeLineKeyer(const ArrayMetadata& meta, size_t axis) {
-  if (meta.num_dims() == 1) return LineKeyer{nullptr, axis};
-  std::vector<Dimension> rest;
-  for (size_t d = 0; d < meta.num_dims(); ++d) {
-    if (d != axis) rest.push_back(meta.dim(d));
-  }
-  return LineKeyer{std::make_shared<Mapper>(ArrayMetadata(std::move(rest))),
-                   axis};
-}
-
 struct LineCell {
-  int64_t axis_pos;
   uint32_t offset;
   double value;
 };
 
-/// Groups a chunk's valid cells into per-line vectors ordered along the
-/// accumulation axis.
+/// A chunk's valid cells grouped into lines along `axis`, each in axis
+/// order. A line's key is the row-major index of its cells in the array
+/// with the axis dropped, so every chunk along the axis agrees on it.
 std::unordered_map<uint64_t, std::vector<LineCell>> ChunkLines(
-    const Mapper& mapper, const LineKeyer& keyer, size_t axis, ChunkId cid,
-    const Chunk& chunk) {
-  std::unordered_map<uint64_t, std::vector<LineCell>> lines;
-  chunk.ForEachValid([&](uint32_t off, double v) {
-    const Coords pos = mapper.CoordsFromChunkOffset(cid, off);
-    lines[keyer(pos)].push_back(LineCell{pos[axis], off, v});
-  });
-  for (auto& [key, cells] : lines) {
-    std::sort(cells.begin(), cells.end(),
-              [](const LineCell& a, const LineCell& b) {
-                return a.axis_pos < b.axis_pos;
-              });
+    const Mapper& mapper, size_t axis, ChunkId cid, const Chunk& chunk) {
+  const ArrayMetadata& meta = mapper.metadata();
+  const size_t last = meta.num_dims() - 1;
+  std::vector<uint64_t> stride(last + 1, 0);
+  for (size_t d = last + 1, s = 1; d-- > 0;) {
+    if (d == axis) continue;
+    stride[d] = s;
+    s *= meta.dim(d).size;
   }
+  const ChunkBox box = ChunkBox::Core(mapper, cid);
+  std::unordered_map<uint64_t, std::vector<LineCell>> lines;
+  std::vector<size_t> idx(last + 1, 0);
+  DeltaCounter counter = chunk.RangeCounter();
+  do {
+    uint64_t key = 0;
+    for (size_t d = 0; d <= last; ++d) {
+      key += (static_cast<uint64_t>(box.lo[d] - meta.dim(d).start) +
+              (d == last ? 0 : idx[d])) *
+             stride[d];
+    }
+    const uint32_t begin = box.RowStart(idx);
+    chunk.ForEachValidInRange(
+        begin, begin + box.width(), &counter, [&](uint32_t off, double v) {
+          lines[key + (off - begin) * stride[last]].push_back({off, v});
+        });
+  } while (box.NextRow(&idx));
   return lines;
 }
 
 using CarryMap = std::unordered_map<uint64_t, double>;  // line -> carry-in
 using BinOp = std::function<double(double, double)>;
 
-/// Local prefix pass: returns the prefixed chunk and per-line totals.
+/// Local prefix pass: returns the prefixed chunk and per-line totals. Line
+/// `key` starts from carries[key * scale + shift] when present.
 std::pair<Chunk, std::vector<std::pair<uint64_t, double>>> PrefixChunk(
-    const Mapper& mapper, const LineKeyer& keyer, size_t axis, ChunkId cid,
-    const Chunk& chunk, const CarryMap* carries, const BinOp& op,
+    const Mapper& mapper, size_t axis, ChunkId cid, const Chunk& chunk,
+    const CarryMap& carries, uint64_t scale, uint64_t shift, const BinOp& op,
     double identity) {
-  auto lines = ChunkLines(mapper, keyer, axis, cid, chunk);
+  auto lines = ChunkLines(mapper, axis, cid, chunk);
   std::vector<std::pair<uint32_t, double>> out_cells;
   out_cells.reserve(chunk.num_valid());
   std::vector<std::pair<uint64_t, double>> totals;
   totals.reserve(lines.size());
   for (auto& [key, cells] : lines) {
-    double running = identity;
-    if (carries != nullptr) {
-      auto it = carries->find(key);
-      if (it != carries->end()) running = it->second;
-    }
+    auto it = carries.find(key * scale + shift);
+    double running = it == carries.end() ? identity : it->second;
     double total = identity;
     for (const LineCell& c : cells) {
       running = op(running, c.value);
@@ -107,7 +86,6 @@ Result<ArrayRdd> AccumulateOp(const ArrayRdd& in, const std::string& dim_name,
   const ArrayMetadata& meta = in.metadata();
   SPANGLE_ASSIGN_OR_RETURN(size_t axis, meta.DimIndex(dim_name));
   auto mapper = in.mapper_ptr();
-  auto keyer = std::make_shared<LineKeyer>(MakeLineKeyer(meta, axis));
   const uint64_t layers = meta.chunks_along(axis);
 
   if (mode == AccumulateMode::kAsynchronous) {
@@ -118,10 +96,8 @@ Result<ArrayRdd> AccumulateOp(const ArrayRdd& in, const std::string& dim_name,
       double total;
     };
     auto totals = in.chunks().AsRdd().FlatMap(
-        [mapper, keyer, axis, op, identity](
-            const std::pair<ChunkId, Chunk>& rec) {
-          auto lines = ChunkLines(*mapper, *keyer, axis, rec.first,
-                                  rec.second);
+        [mapper, axis, op, identity](const std::pair<ChunkId, Chunk>& rec) {
+          auto lines = ChunkLines(*mapper, axis, rec.first, rec.second);
           const uint64_t layer =
               mapper->ChunkGridCoords(rec.first)[axis];
           std::vector<LayerTotal> out;
@@ -150,20 +126,13 @@ Result<ArrayRdd> AccumulateOp(const ArrayRdd& in, const std::string& dim_name,
     // Pass 2 (parallel): re-prefix with carry-in.
     const uint64_t n_layers = layers;
     auto result = in.chunks().AsRdd().Map(
-        [mapper, keyer, axis, carries, n_layers, op, identity](
+        [mapper, axis, carries, n_layers, op, identity](
             const std::pair<ChunkId, Chunk>& rec) {
           const uint64_t layer = mapper->ChunkGridCoords(rec.first)[axis];
-          CarryMap local;
-          auto chunk_lines =
-              ChunkLines(*mapper, *keyer, axis, rec.first, rec.second);
-          for (const auto& [line, cells] : chunk_lines) {
-            auto it = carries->find(line * n_layers + layer);
-            if (it != carries->end()) local[line] = it->second;
-          }
-          auto [out, totals2] = PrefixChunk(*mapper, *keyer, axis, rec.first,
-                                            rec.second, &local, *op,
-                                            identity);
-          return std::pair<ChunkId, Chunk>(rec.first, std::move(out));
+          return std::pair<ChunkId, Chunk>(
+              rec.first, PrefixChunk(*mapper, axis, rec.first, rec.second,
+                                     *carries, n_layers, layer, *op, identity)
+                             .first);
         });
     return ArrayRdd(meta, ToPair<ChunkId, Chunk>(std::move(result),
                                                  in.chunks().partitioner()));
@@ -180,10 +149,10 @@ Result<ArrayRdd> AccumulateOp(const ArrayRdd& in, const std::string& dim_name,
         });
     auto carry_ptr = std::make_shared<CarryMap>(carry);
     auto processed = layer_chunks.Map(
-        [mapper, keyer, axis, carry_ptr, op, identity](
+        [mapper, axis, carry_ptr, op, identity](
             const std::pair<ChunkId, Chunk>& rec) {
-          auto [out, totals] = PrefixChunk(*mapper, *keyer, axis, rec.first,
-                                           rec.second, carry_ptr.get(), *op,
+          auto [out, totals] = PrefixChunk(*mapper, axis, rec.first,
+                                           rec.second, *carry_ptr, 1, 0, *op,
                                            identity);
           return std::make_pair(
               std::pair<ChunkId, Chunk>(rec.first, std::move(out)), totals);

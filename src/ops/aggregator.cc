@@ -3,6 +3,8 @@
 #include <limits>
 #include <unordered_map>
 
+#include "ops/block_accumulate.h"
+
 namespace spangle {
 
 AggState MinAgg::Initialize() const {
@@ -46,36 +48,47 @@ Result<double> Aggregate(const SpangleArray& in, const std::string& attr,
 
 namespace {
 
-/// Distributed build of an array from per-cell aggregation states keyed
-/// by `cid * cells_per_chunk + offset` in the target layout.
-ArrayRdd BuildArrayFromStates(const ArrayMetadata& meta,
-                              const AggregateFunction& fn,
-                              PairRdd<uint64_t, AggState> states) {
-  const uint64_t cpc = Mapper(meta).cells_per_chunk();
+/// Block aggregation through one shuffle. Each partition walks its chunks
+/// in record order, seeding every block from the partition's running state
+/// and writing it back, so a block folds its cells in the order a per-cell
+/// loop over the partition would; ReduceByKey merges partition states and
+/// one GroupByKey builds the output chunks.
+ArrayRdd ShuffledBlockAggregate(const ArrayRdd& values,
+                                const ArrayMetadata& out_meta,
+                                std::vector<uint64_t> grid,
+                                const AggregateFunction& fn,
+                                const char* name) {
+  auto in_mapper = values.mapper_ptr();
+  auto out_mapper = std::make_shared<Mapper>(out_meta);
+  const uint32_t cpc = out_mapper->cells_per_chunk();
   std::shared_ptr<const AggregateFunction> f = fn.Clone();
-  auto merged = states.ReduceByKey([f](const AggState& a, const AggState& b) {
-    AggState out = a;
-    f->Merge(&out, b);
-    return out;
-  });
-  auto by_chunk =
-      ToPair<ChunkId, std::pair<uint32_t, double>>(
-          merged.AsRdd()
-              .Map([cpc, f](const std::pair<uint64_t, AggState>& rec) {
-                const ChunkId cid = rec.first / cpc;
-                const uint32_t off = static_cast<uint32_t>(rec.first % cpc);
-                return std::pair<ChunkId, std::pair<uint32_t, double>>(
-                    cid, {off, f->Evaluate(rec.second)});
-              }))
-          .GroupByKey();
-  auto chunks = by_chunk.MapValues(
-      [cpc](const std::vector<std::pair<uint32_t, double>>& cells) {
-        auto copy = cells;
-        return Chunk::FromCells(
-            static_cast<uint32_t>(cpc), std::move(copy),
-            Chunk::ChooseMode(static_cast<uint32_t>(cpc), cells.size()));
+  auto states_rdd = values.chunks().AsRdd().MapPartitionsWithIndex<
+      std::pair<uint64_t, AggState>>(
+      [in_mapper, out_mapper, grid, f](
+          int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
+        internal::BlockAccumulator acc(in_mapper->metadata(), grid,
+                                       out_mapper, f);
+        std::unordered_map<uint64_t, AggState> states;
+        for (const auto& [cid, chunk] : recs) {
+          acc.Walk(chunk, ChunkBox::Core(*in_mapper, cid), &states, {});
+        }
+        return std::vector<std::pair<uint64_t, AggState>>(states.begin(),
+                                                          states.end());
+      },
+      name);
+  auto merged = ToPair<uint64_t, AggState>(std::move(states_rdd))
+                    .ReduceByKey([f](const AggState& a, const AggState& b) {
+                      AggState out = a;
+                      f->Merge(&out, b);
+                      return out;
+                    });
+  auto cells = merged.AsRdd().Map(
+      [cpc, f](const std::pair<uint64_t, AggState>& rec) {
+        return std::pair<ChunkId, std::pair<uint32_t, double>>(
+            rec.first / cpc, {static_cast<uint32_t>(rec.first % cpc),
+                              f->Evaluate(rec.second)});
       });
-  return ArrayRdd(meta, std::move(chunks));
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(cells), cpc));
 }
 
 }  // namespace
@@ -85,19 +98,16 @@ Result<ArrayRdd> AggregateAlongDims(
     const AggregateFunction& fn, const std::vector<std::string>& collapse) {
   SPANGLE_ASSIGN_OR_RETURN(ArrayRdd values, in.Attribute(attr));
   const ArrayMetadata& meta = in.metadata();
-  // Which dimensions survive.
-  std::vector<bool> collapsed(meta.num_dims(), false);
+  // A collapsed dimension is one block spanning its extent (grid 0);
+  // the others keep every cell (grid 1).
+  std::vector<uint64_t> grid(meta.num_dims(), 1);
   for (const auto& name : collapse) {
     SPANGLE_ASSIGN_OR_RETURN(size_t d, meta.DimIndex(name));
-    collapsed[d] = true;
+    grid[d] = 0;
   }
   std::vector<Dimension> kept;
-  std::vector<size_t> kept_idx;
   for (size_t d = 0; d < meta.num_dims(); ++d) {
-    if (!collapsed[d]) {
-      kept.push_back(meta.dim(d));
-      kept_idx.push_back(d);
-    }
+    if (grid[d] != 0) kept.push_back(meta.dim(d));
   }
   if (kept.empty()) {
     return Status::InvalidArgument(
@@ -105,40 +115,8 @@ Result<ArrayRdd> AggregateAlongDims(
   }
   SPANGLE_ASSIGN_OR_RETURN(ArrayMetadata out_meta,
                            ArrayMetadata::Make(std::move(kept)));
-  auto out_mapper = std::make_shared<Mapper>(out_meta);
-  auto in_mapper = values.mapper_ptr();
-  const uint64_t cpc = out_mapper->cells_per_chunk();
-  std::shared_ptr<const AggregateFunction> f = fn.Clone();
-
-  // Per-chunk local accumulation into target-cell states, then one
-  // shuffle merges partial states (the operator's Merge step).
-  auto states_rdd = values.chunks().AsRdd().MapPartitionsWithIndex<
-      std::pair<uint64_t, AggState>>(
-      [in_mapper, out_mapper, kept_idx, f, cpc](
-          int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
-        std::unordered_map<uint64_t, AggState> acc;
-        Coords kept_pos(kept_idx.size());
-        for (const auto& [cid, chunk] : recs) {
-          chunk.ForEachValid([&](uint32_t off, double v) {
-            const Coords pos = in_mapper->CoordsFromChunkOffset(cid, off);
-            for (size_t i = 0; i < kept_idx.size(); ++i) {
-              kept_pos[i] = pos[kept_idx[i]];
-            }
-            const uint64_t key =
-                out_mapper->ChunkIdFromCoords(kept_pos) * cpc +
-                out_mapper->LocalOffset(kept_pos);
-            auto [it, inserted] = acc.try_emplace(key, f->Initialize());
-            f->Accumulate(&it->second, v);
-          });
-        }
-        std::vector<std::pair<uint64_t, AggState>> out;
-        out.reserve(acc.size());
-        for (auto& [k, s] : acc) out.emplace_back(k, s);
-        return out;
-      },
-      "aggregateAlongDims");
-  return BuildArrayFromStates(out_meta, fn,
-                              ToPair<uint64_t, AggState>(states_rdd));
+  return ShuffledBlockAggregate(values, out_meta, std::move(grid), fn,
+                                "aggregateAlongDims");
 }
 
 Result<ArrayRdd> RegridAggregate(const SpangleArray& in,
@@ -146,58 +124,9 @@ Result<ArrayRdd> RegridAggregate(const SpangleArray& in,
                                  const AggregateFunction& fn,
                                  const std::vector<uint64_t>& grid) {
   SPANGLE_ASSIGN_OR_RETURN(ArrayRdd values, in.Attribute(attr));
-  const ArrayMetadata& meta = in.metadata();
-  if (grid.size() != meta.num_dims()) {
-    return Status::InvalidArgument("regrid dimensionality mismatch");
-  }
-  std::vector<Dimension> out_dims;
-  for (size_t d = 0; d < meta.num_dims(); ++d) {
-    if (grid[d] == 0) return Status::InvalidArgument("regrid block of 0");
-    Dimension dim = meta.dim(d);
-    dim.start = 0;
-    dim.size = (dim.size + grid[d] - 1) / grid[d];
-    dim.chunk_size =
-        std::max<uint64_t>(1, (dim.chunk_size + grid[d] - 1) / grid[d]);
-    if (dim.chunk_size > dim.size) dim.chunk_size = dim.size;
-    out_dims.push_back(dim);
-  }
   SPANGLE_ASSIGN_OR_RETURN(ArrayMetadata out_meta,
-                           ArrayMetadata::Make(std::move(out_dims)));
-  auto out_mapper = std::make_shared<Mapper>(out_meta);
-  auto in_mapper = values.mapper_ptr();
-  const uint64_t cpc = out_mapper->cells_per_chunk();
-  std::shared_ptr<const AggregateFunction> f = fn.Clone();
-  const size_t nd = meta.num_dims();
-  std::vector<int64_t> starts(nd);
-  for (size_t d = 0; d < nd; ++d) starts[d] = meta.dim(d).start;
-
-  auto states_rdd = values.chunks().AsRdd().MapPartitionsWithIndex<
-      std::pair<uint64_t, AggState>>(
-      [in_mapper, out_mapper, grid, starts, f, cpc, nd](
-          int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
-        std::unordered_map<uint64_t, AggState> acc;
-        Coords out_pos(nd);
-        for (const auto& [cid, chunk] : recs) {
-          chunk.ForEachValid([&](uint32_t off, double v) {
-            const Coords pos = in_mapper->CoordsFromChunkOffset(cid, off);
-            for (size_t d = 0; d < nd; ++d) {
-              out_pos[d] = (pos[d] - starts[d]) / static_cast<int64_t>(grid[d]);
-            }
-            const uint64_t key =
-                out_mapper->ChunkIdFromCoords(out_pos) * cpc +
-                out_mapper->LocalOffset(out_pos);
-            auto [it, inserted] = acc.try_emplace(key, f->Initialize());
-            f->Accumulate(&it->second, v);
-          });
-        }
-        std::vector<std::pair<uint64_t, AggState>> out;
-        out.reserve(acc.size());
-        for (auto& [k, s] : acc) out.emplace_back(k, s);
-        return out;
-      },
-      "regrid");
-  return BuildArrayFromStates(out_meta, fn,
-                              ToPair<uint64_t, AggState>(states_rdd));
+                           internal::RegridMetadata(in.metadata(), grid));
+  return ShuffledBlockAggregate(values, out_meta, grid, fn, "regrid");
 }
 
 }  // namespace spangle

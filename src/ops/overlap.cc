@@ -1,56 +1,21 @@
 #include "ops/overlap.h"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "ops/block_accumulate.h"
 
 namespace spangle {
 
 namespace {
 
-/// Row-major layout of an expanded (core + 2*radius ghost) chunk.
-struct ExpandedLayout {
-  ExpandedLayout(const ArrayMetadata& meta, std::vector<uint64_t> radii_in)
-      : radii(std::move(radii_in)) {
-    const size_t nd = meta.num_dims();
-    ext.resize(nd);
-    stride.resize(nd);
-    uint64_t s = 1;
-    for (size_t d = nd; d-- > 0;) {
-      ext[d] = meta.dim(d).chunk_size + 2 * radii[d];
-      stride[d] = s;
-      s *= ext[d];
-    }
-    cells = static_cast<uint32_t>(s);
+/// `box` in the expanded layout of its chunk: core plus `radii` ghost
+/// cells past every face.
+ChunkBox Expand(ChunkBox box, const std::vector<uint64_t>& radii) {
+  for (size_t d = 0; d < radii.size(); ++d) {
+    box.origin[d] -= static_cast<int64_t>(radii[d]);
+    box.ext[d] += 2 * radii[d];
   }
-
-  /// Expanded offset of global `pos` relative to chunk `cid`; valid for
-  /// positions within the expanded box.
-  uint32_t OffsetFor(const Mapper& mapper, ChunkId cid,
-                     const Coords& pos) const {
-    uint32_t off = 0;
-    for (size_t d = 0; d < pos.size(); ++d) {
-      const int64_t rel = pos[d] - mapper.ChunkStart(cid, d) +
-                          static_cast<int64_t>(radii[d]);
-      off += static_cast<uint32_t>(rel) * static_cast<uint32_t>(stride[d]);
-    }
-    return off;
-  }
-
-  std::vector<uint64_t> radii;
-  std::vector<uint64_t> ext;
-  std::vector<uint64_t> stride;
-  uint32_t cells = 0;
-};
-
-/// Per-dimension ghost depth: the requested radius clamped to the chunk
-/// size (a chunk only exchanges with immediate neighbors).
-std::vector<uint64_t> ClampedRadii(const ArrayMetadata& meta,
-                                   uint64_t radius) {
-  std::vector<uint64_t> radii(meta.num_dims());
-  for (size_t d = 0; d < meta.num_dims(); ++d) {
-    radii[d] = std::min<uint64_t>(radius, meta.dim(d).chunk_size);
-  }
-  return radii;
+  return box;
 }
 
 }  // namespace
@@ -59,153 +24,145 @@ OverlapArrayRdd OverlapArrayRdd::Build(const ArrayRdd& base, uint64_t radius) {
   OverlapArrayRdd out;
   out.mapper_ = base.mapper_ptr();
   out.radius_ = radius;
-  auto mapper = base.mapper_ptr();
-  const ArrayMetadata& meta = mapper->metadata();
-  const size_t nd = meta.num_dims();
-  out.radii_ = ClampedRadii(meta, radius);
-  auto radii = std::make_shared<std::vector<uint64_t>>(out.radii_);
-  auto layout = std::make_shared<ExpandedLayout>(meta, out.radii_);
+  const ArrayMetadata& meta = out.mapper_->metadata();
+  // Per-dimension ghost depth: the radius clamped to the chunk size (a
+  // chunk only exchanges with immediate neighbors).
+  uint32_t expanded_cells = 1;
+  for (const Dimension& dim : meta.dims()) {
+    out.radii_.push_back(std::min(radius, dim.chunk_size));
+    expanded_cells *=
+        static_cast<uint32_t>(dim.chunk_size + 2 * out.radii_.back());
+  }
 
   // Halo exchange: every valid cell goes to its own chunk and to every
   // neighbor whose ghost region contains it. One shuffle, then grouped
-  // into expanded chunks.
+  // into expanded chunks. The cells neighbor `step` sees form a box: the
+  // whole chunk along a 0 step, the `radius` cells next to the shared face
+  // along a -1 or +1 step. Each box is walked row by row.
   auto scattered = base.chunks().AsRdd().FlatMap(
-      [mapper, layout, radii, nd](const std::pair<ChunkId, Chunk>& rec) {
+      [mapper = out.mapper_, radii = out.radii_](
+          const std::pair<ChunkId, Chunk>& rec) {
         const auto& [cid, chunk] = rec;
+        const size_t nd = radii.size();
+        const ChunkBox core = ChunkBox::Core(*mapper, cid);
         std::vector<std::pair<ChunkId, std::pair<uint32_t, double>>> out_recs;
-        const auto grid = mapper->ChunkGridCoords(cid);
-        const ArrayMetadata& m = mapper->metadata();
-        chunk.ForEachValid([&](uint32_t off, double v) {
-          const Coords pos = mapper->CoordsFromChunkOffset(cid, off);
-          // Which neighbor deltas can see this cell: -1 when within
-          // `radius` of the low chunk edge, +1 near the high edge.
-          std::vector<std::vector<int>> deltas(nd);
+        std::vector<int64_t> step(nd, -1);
+        for (;;) {
+          // The cells the neighbor at `step` sees, as a box of this chunk.
+          ChunkBox box = core;
+          Coords neighbor = core.origin;
+          bool empty = false;
           for (size_t d = 0; d < nd; ++d) {
-            const uint64_t local = static_cast<uint64_t>(
-                pos[d] - mapper->ChunkStart(cid, d));
-            deltas[d].push_back(0);
-            const uint64_t r = (*radii)[d];
-            if (local < r && grid[d] > 0) deltas[d].push_back(-1);
-            if (local + r >= m.dim(d).chunk_size &&
-                grid[d] + 1 < m.chunks_along(d)) {
-              deltas[d].push_back(+1);
-            }
+            const auto cs = static_cast<int64_t>(core.ext[d]);
+            const auto r = static_cast<int64_t>(radii[d]);
+            if (step[d] < 0) box.hi[d] = std::min(core.hi[d], core.lo[d] + r);
+            if (step[d] > 0) box.lo[d] = core.lo[d] + cs - r;
+            neighbor[d] += step[d] * cs;
+            empty = empty || box.lo[d] >= box.hi[d];
           }
-          // Cartesian product of per-dim deltas.
-          std::vector<int> cur(nd, 0);
-          std::vector<size_t> idx(nd, 0);
-          for (;;) {
-            std::vector<uint64_t> ngrid(nd);
-            for (size_t d = 0; d < nd; ++d) {
-              ngrid[d] = grid[d] + deltas[d][idx[d]];
-            }
-            const ChunkId ncid = mapper->ChunkIdFromGrid(ngrid);
-            out_recs.emplace_back(
-                ncid, std::make_pair(layout->OffsetFor(*mapper, ncid, pos),
-                                     v));
-            size_t d = 0;
-            while (d < nd && ++idx[d] == deltas[d].size()) {
-              idx[d] = 0;
-              ++d;
-            }
-            if (d == nd) break;
+          if (!empty && mapper->InBounds(neighbor)) {
+            // The same box in the neighbor's expanded layout.
+            ChunkBox to = box;
+            to.origin = neighbor;
+            to = Expand(std::move(to), radii);
+            const ChunkId ncid = mapper->ChunkIdFromCoords(neighbor);
+            std::vector<size_t> idx(nd, 0);
+            DeltaCounter counter = chunk.RangeCounter();
+            do {
+              const uint32_t begin = box.RowStart(idx);
+              const uint32_t target = to.RowStart(idx);
+              chunk.ForEachValidInRange(
+                  begin, begin + box.width(), &counter,
+                  [&](uint32_t off, double v) {
+                    out_recs.emplace_back(
+                        ncid, std::make_pair(target + (off - begin), v));
+                  });
+            } while (box.NextRow(&idx));
           }
-        });
+          size_t d = 0;
+          while (d < nd && ++step[d] > 1) step[d++] = -1;
+          if (d == nd) break;
+        }
         return out_recs;
       });
 
-  auto grouped =
-      ToPair<ChunkId, std::pair<uint32_t, double>>(std::move(scattered))
-          .GroupByKey(std::make_shared<HashPartitioner<ChunkId>>(
-              base.chunks().num_partitions()));
-  auto expanded = grouped.MapValues(
-      [layout](const std::vector<std::pair<uint32_t, double>>& cells) {
-        auto copy = cells;
-        return Chunk::FromCells(layout->cells, std::move(copy),
-                                Chunk::ChooseMode(layout->cells,
-                                                  cells.size()));
-      });
-  out.chunks_ = std::move(expanded);
+  out.chunks_ = GroupIntoChunks(
+      std::move(scattered), expanded_cells, ModePolicy::Auto(),
+      std::make_shared<HashPartitioner<ChunkId>>(
+          base.chunks().num_partitions()));
   return out;
 }
 
 ArrayRdd OverlapArrayRdd::WindowAggregate(const AggregateFunction& fn) const {
-  auto mapper = mapper_;
   std::shared_ptr<const AggregateFunction> f = fn.Clone();
-  const ArrayMetadata& meta = mapper->metadata();
-  const size_t nd = meta.num_dims();
-  auto layout = std::make_shared<ExpandedLayout>(meta, radii_);
-  const uint32_t core_cells = mapper->cells_per_chunk();
-
   auto result = chunks_.AsRdd().Map(
-      [mapper, layout, f, nd, core_cells](
+      [mapper = mapper_, radii = radii_, f](
           const std::pair<ChunkId, Chunk>& rec) {
         const auto& [cid, chunk] = rec;
-        std::vector<std::pair<uint32_t, double>> out_cells;
-        // Iterate the core cells through the base mapper's offsets.
         const ArrayMetadata& m = mapper->metadata();
-        for (uint32_t off = 0; off < core_cells; ++off) {
-          if (!mapper->OffsetInBounds(cid, off)) continue;
-          const Coords pos = mapper->CoordsFromChunkOffset(cid, off);
-          const uint32_t e_off = layout->OffsetFor(*mapper, cid, pos);
-          if (!chunk.Valid(e_off)) continue;
-          // Aggregate the per-dim (2*radii[d]+1) neighborhood in
-          // expanded space.
-          AggState state = f->Initialize();
-          Coords npos(nd);
-          std::vector<int64_t> d_iter(nd);
-          for (size_t d = 0; d < nd; ++d) {
-            d_iter[d] = -static_cast<int64_t>(layout->radii[d]);
-          }
-          for (;;) {
-            bool in_array = true;
-            for (size_t d = 0; d < nd; ++d) {
-              npos[d] = pos[d] + d_iter[d];
-              const int64_t rel = npos[d] - m.dim(d).start;
-              if (rel < 0 ||
-                  rel >= static_cast<int64_t>(m.dim(d).size)) {
-                in_array = false;
-                break;
-              }
-            }
-            if (in_array) {
-              const uint32_t n_off = layout->OffsetFor(*mapper, cid, npos);
-              if (chunk.Valid(n_off)) {
-                f->Accumulate(&state, chunk.Value(n_off));
-              }
-            }
-            size_t d = 0;
-            while (d < nd &&
-                   ++d_iter[d] > static_cast<int64_t>(layout->radii[d])) {
-              d_iter[d] = -static_cast<int64_t>(layout->radii[d]);
-              ++d;
-            }
-            if (d == nd) break;
-          }
-          out_cells.emplace_back(off, f->Evaluate(state));
-        }
-        const ChunkMode mode =
-            Chunk::ChooseMode(core_cells, out_cells.size());
-        Chunk out_chunk =
-            Chunk::FromCells(core_cells, std::move(out_cells), mode);
-        return std::pair<ChunkId, Chunk>(cid, std::move(out_chunk));
+        const size_t nd = m.num_dims();
+        // The core cells, in the base layout and in the expanded one.
+        const ChunkBox core = ChunkBox::Core(*mapper, cid);
+        const ChunkBox ex = Expand(core, radii);
+        std::vector<uint64_t> stride(nd);
+        for (size_t d = nd, s = 1; d-- > 0; s *= ex.ext[d]) stride[d] = s;
+        std::vector<std::pair<uint32_t, double>> out_cells;
+        std::vector<size_t> idx(nd, 0);
+        std::vector<int64_t> lo(nd), hi(nd), cur(nd);
+        DeltaCounter counter = chunk.RangeCounter();
+        do {
+          const uint32_t begin = ex.RowStart(idx);
+          const uint32_t out_begin = core.RowStart(idx);
+          chunk.ForEachValidInRange(
+              begin, begin + ex.width(), &counter, [&](uint32_t off, double) {
+                // The per-dim (2*radii[d]+1) neighborhood, clipped to the
+                // array, in expanded indices; dimension 0 runs fastest.
+                for (size_t d = 0; d < nd; ++d) {
+                  const int64_t p =
+                      core.lo[d] + static_cast<int64_t>(
+                                       d + 1 == nd ? off - begin : idx[d]);
+                  const auto r = static_cast<int64_t>(radii[d]);
+                  const int64_t end =
+                      m.dim(d).start + static_cast<int64_t>(m.dim(d).size);
+                  lo[d] = std::max(p - r, m.dim(d).start) - ex.origin[d];
+                  hi[d] = std::min(p + r + 1, end) - ex.origin[d];
+                  cur[d] = lo[d];
+                }
+                AggState state = f->Initialize();
+                for (size_t d = 0; d < nd;) {
+                  uint64_t n_off = 0;
+                  for (size_t k = 0; k < nd; ++k) {
+                    n_off += static_cast<uint64_t>(cur[k]) * stride[k];
+                  }
+                  const auto n = static_cast<uint32_t>(n_off);
+                  if (chunk.Valid(n)) f->Accumulate(&state, chunk.Value(n));
+                  for (d = 0; d < nd && ++cur[d] == hi[d]; ++d) {
+                    cur[d] = lo[d];
+                  }
+                }
+                out_cells.emplace_back(out_begin + (off - begin),
+                                       f->Evaluate(state));
+              });
+        } while (ex.NextRow(&idx));
+        const uint32_t cells = mapper->cells_per_chunk();
+        const ChunkMode mode = Chunk::ChooseMode(cells, out_cells.size());
+        return std::pair<ChunkId, Chunk>(
+            cid, Chunk::FromCells(cells, std::move(out_cells), mode));
       });
   auto filtered = result.Filter([](const std::pair<ChunkId, Chunk>& rec) {
     return rec.second.num_valid() > 0;
   });
-  return ArrayRdd(meta, ToPair<ChunkId, Chunk>(std::move(filtered),
-                                               chunks_.partitioner()));
+  return ArrayRdd(mapper_->metadata(),
+                  ToPair<ChunkId, Chunk>(std::move(filtered),
+                                         chunks_.partitioner()));
 }
 
 Result<ArrayRdd> OverlapArrayRdd::RegridAggregateLocal(
     const AggregateFunction& fn, const std::vector<uint64_t>& grid) const {
   const ArrayMetadata& meta = mapper_->metadata();
-  const size_t nd = meta.num_dims();
-  if (grid.size() != nd) {
-    return Status::InvalidArgument("regrid dimensionality mismatch");
-  }
-  for (size_t d = 0; d < nd; ++d) {
-    if (grid[d] == 0) return Status::InvalidArgument("regrid block of 0");
+  SPANGLE_ASSIGN_OR_RETURN(ArrayMetadata out_meta,
+                           internal::RegridMetadata(meta, grid));
+  for (size_t d = 0; d < meta.num_dims(); ++d) {
     const uint64_t needed =
         meta.dim(d).chunk_size % grid[d] != 0 ? grid[d] - 1 : 0;
     if (radii_[d] < needed) {
@@ -215,95 +172,44 @@ Result<ArrayRdd> OverlapArrayRdd::RegridAggregateLocal(
           std::to_string(needed));
     }
   }
-  std::vector<Dimension> out_dims;
-  for (size_t d = 0; d < nd; ++d) {
-    Dimension dim = meta.dim(d);
-    dim.start = 0;
-    dim.size = (dim.size + grid[d] - 1) / grid[d];
-    dim.chunk_size =
-        std::max<uint64_t>(1, (dim.chunk_size + grid[d] - 1) / grid[d]);
-    if (dim.chunk_size > dim.size) dim.chunk_size = dim.size;
-    out_dims.push_back(dim);
-  }
-  SPANGLE_ASSIGN_OR_RETURN(ArrayMetadata out_meta,
-                           ArrayMetadata::Make(std::move(out_dims)));
   auto out_mapper = std::make_shared<Mapper>(out_meta);
-  auto mapper = mapper_;
   std::shared_ptr<const AggregateFunction> f = fn.Clone();
-  auto layout = std::make_shared<ExpandedLayout>(meta, radii_);
 
   // A chunk owns every output block whose input-space origin lies inside
-  // its core region; straddling cells come from the ghost region. One
-  // sequential pass over the expanded chunk (delta-count iteration)
-  // accumulates states per owned block.
-  auto cells_rdd = chunks_.AsRdd().FlatMap(
-      [mapper, out_mapper, layout, grid, f, nd](
-          const std::pair<ChunkId, Chunk>& rec) {
-        const auto& [cid, chunk] = rec;
+  // its core region and walks only those blocks' cells: from the first
+  // origin at or after the chunk start to the end of the last owned
+  // block, reading straddling cells from the ghost region.
+  auto cells_rdd = chunks_.AsRdd().MapPartitionsWithIndex<
+      std::pair<ChunkId, std::pair<uint32_t, double>>>(
+      [mapper = mapper_, out_mapper, radii = radii_, grid, f](
+          int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
         const ArrayMetadata& m = mapper->metadata();
-        std::vector<std::pair<uint64_t, std::pair<uint32_t, double>>> out;
-        // Core bounds and per-dim strides of the expanded layout.
-        std::vector<int64_t> cstart(nd), cend(nd), start(nd);
-        for (size_t d = 0; d < nd; ++d) {
-          cstart[d] = mapper->ChunkStart(cid, d);
-          cend[d] = std::min<int64_t>(
-              cstart[d] + static_cast<int64_t>(m.dim(d).chunk_size),
-              m.dim(d).start + static_cast<int64_t>(m.dim(d).size));
-          start[d] = m.dim(d).start;
-        }
-        std::unordered_map<uint64_t, AggState> acc;
-        Coords pos(nd), out_pos(nd);
-        chunk.ForEachValid([&](uint32_t e_off, double v) {
-          // Global position from the expanded offset.
-          bool owned = true;
-          for (size_t d = 0; d < nd; ++d) {
-            const uint64_t local =
-                (e_off / layout->stride[d]) % layout->ext[d];
-            pos[d] = cstart[d] - static_cast<int64_t>(layout->radii[d]) +
-                     static_cast<int64_t>(local);
-            const int64_t rel = pos[d] - start[d];
-            if (rel < 0 ||
-                rel >= static_cast<int64_t>(m.dim(d).size)) {
-              owned = false;
-              break;
-            }
-            // This cell belongs to the block whose origin is:
-            const int64_t g = static_cast<int64_t>(grid[d]);
-            const int64_t origin = start[d] + (rel / g) * g;
-            if (origin < cstart[d] || origin >= cend[d]) {
-              owned = false;  // another chunk owns this block
-              break;
-            }
-            out_pos[d] = rel / g;
-          }
-          if (!owned) return;
-          const uint64_t key =
-              out_mapper->ChunkIdFromCoords(out_pos) *
-                  out_mapper->cells_per_chunk() +
-              out_mapper->LocalOffset(out_pos);
-          auto [it, inserted] = acc.try_emplace(key, f->Initialize());
-          f->Accumulate(&it->second, v);
-        });
-        out.reserve(acc.size());
-        for (auto& [key, state] : acc) {
-          const uint64_t cpc = out_mapper->cells_per_chunk();
+        const uint64_t cpc = out_mapper->cells_per_chunk();
+        internal::BlockAccumulator acc(m, grid, out_mapper, f);
+        std::vector<std::pair<ChunkId, std::pair<uint32_t, double>>> out;
+        const auto emit = [&](uint64_t key, const AggState& state) {
           out.emplace_back(key / cpc,
                            std::make_pair(static_cast<uint32_t>(key % cpc),
                                           f->Evaluate(state)));
+        };
+        for (const auto& [cid, chunk] : recs) {
+          ChunkBox box = ChunkBox::Core(*mapper, cid);
+          for (size_t d = 0; d < m.num_dims(); ++d) {
+            const int64_t start = m.dim(d).start;
+            const auto g = static_cast<int64_t>(grid[d]);
+            const int64_t cend = box.hi[d];
+            box.lo[d] = start + (box.lo[d] - start + g - 1) / g * g;
+            box.hi[d] = std::min(start + ((cend - 1 - start) / g + 1) * g,
+                                 start + static_cast<int64_t>(m.dim(d).size));
+            if (box.lo[d] >= cend) box.hi[d] = box.lo[d];  // owns nothing
+          }
+          acc.Walk(chunk, Expand(std::move(box), radii), nullptr, emit);
         }
         return out;
-      });
-  const uint32_t out_cpc = out_mapper->cells_per_chunk();
-  auto grouped =
-      ToPair<uint64_t, std::pair<uint32_t, double>>(std::move(cells_rdd))
-          .GroupByKey();
-  auto chunks = grouped.MapValues(
-      [out_cpc](const std::vector<std::pair<uint32_t, double>>& cells) {
-        auto copy = cells;
-        return Chunk::FromCells(out_cpc, std::move(copy),
-                                Chunk::ChooseMode(out_cpc, cells.size()));
-      });
-  return ArrayRdd(out_meta, std::move(chunks));
+      },
+      "regridLocal");
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(cells_rdd),
+                                            out_mapper->cells_per_chunk()));
 }
 
 }  // namespace spangle

@@ -12,7 +12,7 @@ namespace spangle {
 /// boundary (the *overlap* technique of paper Sec. III-A, after
 /// ArrayStore [18]). Building the overlap costs one halo-exchange
 /// shuffle; afterwards operators that need neighbor cells (windowing,
-/// regridding — Q2 and Q5 in the evaluation) run with zero data exchange.
+/// regridding — Q2 and Q5 in the evaluation) never exchange raw cells.
 class OverlapArrayRdd {
  public:
   OverlapArrayRdd() = default;
@@ -39,9 +39,12 @@ class OverlapArrayRdd {
   ArrayRdd WindowAggregate(const AggregateFunction& fn) const;
 
   /// Block regrid computed locally per chunk: each chunk owns the output
-  /// blocks whose origin falls inside it, reading straddling cells from
-  /// the ghost region. Requires radius >= max(grid)-1 so every straddle
-  /// is covered. Same result as RegridAggregate, but zero shuffle.
+  /// blocks whose origin falls inside it and walks only their cells,
+  /// reading straddling cells from the ghost region. Requires a radius of
+  /// grid-1 along every dimension whose chunks the blocks straddle. Same
+  /// result as RegridAggregate, bit for bit per block, but no input cell
+  /// moves: one GroupByKey places the finished output cells (one record
+  /// per non-empty output cell) into output chunks.
   Result<ArrayRdd> RegridAggregateLocal(const AggregateFunction& fn,
                                         const std::vector<uint64_t>& grid)
       const;

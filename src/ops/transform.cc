@@ -2,28 +2,6 @@
 
 namespace spangle {
 
-namespace {
-
-/// Builds an ArrayRdd from scattered (target ChunkId, (offset, value))
-/// records with one grouping shuffle.
-ArrayRdd BuildFromScattered(
-    const ArrayMetadata& meta,
-    Rdd<std::pair<ChunkId, std::pair<uint32_t, double>>> scattered) {
-  const uint32_t cpc = Mapper(meta).cells_per_chunk();
-  auto grouped =
-      ToPair<ChunkId, std::pair<uint32_t, double>>(std::move(scattered))
-          .GroupByKey();
-  auto chunks = grouped.MapValues(
-      [cpc](const std::vector<std::pair<uint32_t, double>>& cells) {
-        auto copy = cells;
-        const ChunkMode mode = Chunk::ChooseMode(cpc, cells.size());
-        return Chunk::FromCells(cpc, std::move(copy), mode);
-      });
-  return ArrayRdd(meta, std::move(chunks));
-}
-
-}  // namespace
-
 Result<ArrayRdd> Slice(const ArrayRdd& in, const std::string& dim_name,
                        int64_t coordinate) {
   const ArrayMetadata& meta = in.metadata();
@@ -69,7 +47,8 @@ Result<ArrayRdd> Slice(const ArrayRdd& in, const std::string& dim_name,
         });
         return out;
       });
-  return BuildFromScattered(out_meta, std::move(scattered));
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(scattered),
+                                            out_mapper->cells_per_chunk()));
 }
 
 Result<SpangleArray> Apply(
@@ -173,7 +152,8 @@ Result<ArrayRdd> Concat(const ArrayRdd& left, const ArrayRdd& right,
   auto scattered =
       left.chunks().AsRdd().FlatMap(remap(left.mapper_ptr(), 0)).Union(
           right.chunks().AsRdd().FlatMap(remap(right.mapper_ptr(), shift)));
-  return BuildFromScattered(out_meta, std::move(scattered));
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(scattered),
+                                            out_mapper->cells_per_chunk()));
 }
 
 }  // namespace spangle

@@ -16,6 +16,7 @@
 #include "matrix/block_matrix.h"
 #include "matrix/mask_matrix.h"
 #include "ops/operators.h"
+#include "ops/overlap.h"
 
 namespace spangle {
 namespace {
@@ -218,6 +219,26 @@ TEST(PlanClaimsTest, MaskRddFilterIsLazyAndShuffleFree) {
   EXPECT_EQ(mask_filtered.CountValid(), eager_filtered.CountValid());
   EXPECT_EQ(mask_filtered.Attribute("b")->CountValid(),
             eager_filtered.Attribute("b")->CountValid());
+}
+
+// The overlap regrid never moves an input cell: its one shuffle is the
+// GroupByKey that places the finished output cells, one record per
+// non-empty output cell.
+TEST(PlanClaimsTest, OverlapRegridShufflesOneRecordPerOutputCell) {
+  Context ctx(2);
+  auto overlap = OverlapArrayRdd::Build(Ramp(&ctx), 2);
+  overlap.Cache();
+  overlap.expanded_chunks().Count();  // the halo exchange, paid up front
+  // 3x3 blocks straddle the 4x4 chunks: 36 output cells from 256 inputs.
+  auto regridded = *overlap.RegridAggregateLocal(SumAgg(), {3, 3});
+  PhysicalPlan plan =
+      ctx.BuildPlan(regridded.chunks().AsRdd().node(), "collect");
+  EXPECT_EQ(plan.NumPendingShuffleStages(), 1);
+  const uint64_t shuffles_before = ctx.metrics().shuffles.load();
+  const uint64_t records_before = ctx.metrics().shuffle_records.load();
+  EXPECT_EQ(regridded.CountValid(), 36u);
+  EXPECT_EQ(ctx.metrics().shuffles.load() - shuffles_before, 1u);
+  EXPECT_EQ(ctx.metrics().shuffle_records.load() - records_before, 36u);
 }
 
 }  // namespace
