@@ -147,6 +147,14 @@ class Chunk {
     }
   }
 
+  /// No cell in [from, result) is valid. In super-sparse mode the upper
+  /// mask skips whole all-zero words; the other modes return `from`.
+  uint32_t SkipInvalidWords(uint32_t from) const {
+    return mode_ == ChunkMode::kSuperSparse
+               ? static_cast<uint32_t>(hmask_.SkipZeroWords(from))
+               : from;
+  }
+
   /// The valid cells as (offset, value) pairs, offset-ascending.
   std::vector<std::pair<uint32_t, double>> ToCells() const;
 

@@ -107,6 +107,23 @@ class HierarchicalBitmask {
     });
   }
 
+  /// The start of the first non-zero lower word at or after bit `from`
+  /// (`from` itself when its own word is non-zero), or num_bits(): no bit
+  /// in [from, result) is set. Reads only the upper mask.
+  size_t SkipZeroWords(size_t from) const {
+    constexpr size_t kBits = Bitmask::kBitsPerWord;
+    if (from >= num_bits_) return num_bits_;
+    const size_t w = from / kBits;
+    size_t u = w / kBits;
+    uint64_t bits = upper_.word(u) & (~uint64_t{0} << (w % kBits));
+    while (bits == 0) {
+      if (++u == upper_.num_words()) return num_bits_;
+      bits = upper_.word(u);
+    }
+    const size_t next = u * kBits + static_cast<size_t>(__builtin_ctzll(bits));
+    return next == w ? from : next * kBits;
+  }
+
   /// One bit per 64-bit lower word; set where that word has a set bit.
   const Bitmask& upper_mask() const { return upper_; }
 

@@ -28,21 +28,22 @@ std::unordered_map<uint64_t, std::vector<LineCell>> ChunkLines(
   }
   const ChunkBox box = ChunkBox::Core(mapper, cid);
   std::unordered_map<uint64_t, std::vector<LineCell>> lines;
-  std::vector<size_t> idx(last + 1, 0);
-  DeltaCounter counter = chunk.RangeCounter();
-  do {
-    uint64_t key = 0;
-    for (size_t d = 0; d <= last; ++d) {
-      key += (static_cast<uint64_t>(box.lo[d] - meta.dim(d).start) +
-              (d == last ? 0 : idx[d])) *
-             stride[d];
-    }
-    const uint32_t begin = box.RowStart(idx);
-    chunk.ForEachValidInRange(
-        begin, begin + box.width(), &counter, [&](uint32_t off, double v) {
-          lines[key + (off - begin) * stride[last]].push_back({off, v});
-        });
-  } while (box.NextRow(&idx));
+  uint64_t key = 0;
+  uint32_t begin = 0;
+  box.ForEachValid(
+      chunk,
+      [&](const std::vector<size_t>& idx, uint32_t row_begin) {
+        key = 0;
+        for (size_t d = 0; d <= last; ++d) {
+          key += (static_cast<uint64_t>(box.lo[d] - meta.dim(d).start) +
+                  (d == last ? 0 : idx[d])) *
+                 stride[d];
+        }
+        begin = row_begin;
+      },
+      [&](uint32_t off, double v) {
+        lines[key + (off - begin) * stride[last]].push_back({off, v});
+      });
   return lines;
 }
 

@@ -52,7 +52,7 @@ namespace {
 /// in record order, seeding every block from the partition's running state
 /// and writing it back, so a block folds its cells in the order a per-cell
 /// loop over the partition would; ReduceByKey merges partition states and
-/// one GroupByKey builds the output chunks.
+/// GroupIntoChunks builds the output chunks from runs of evaluated cells.
 ArrayRdd ShuffledBlockAggregate(const ArrayRdd& values,
                                 const ArrayMetadata& out_meta,
                                 std::vector<uint64_t> grid,
@@ -82,13 +82,18 @@ ArrayRdd ShuffledBlockAggregate(const ArrayRdd& values,
                       f->Merge(&out, b);
                       return out;
                     });
-  auto cells = merged.AsRdd().Map(
-      [cpc, f](const std::pair<uint64_t, AggState>& rec) {
-        return std::pair<ChunkId, std::pair<uint32_t, double>>(
-            rec.first / cpc, {static_cast<uint32_t>(rec.first % cpc),
-                              f->Evaluate(rec.second)});
-      });
-  return ArrayRdd(out_meta, GroupIntoChunks(std::move(cells), cpc));
+  auto runs = merged.AsRdd().MapPartitionsWithIndex<
+      std::pair<ChunkId, CellRun>>(
+      [cpc, f](int, const std::vector<std::pair<uint64_t, AggState>>& recs) {
+        internal::ChunkRuns out;
+        for (const auto& [key, state] : recs) {
+          out.Add(key / cpc, static_cast<uint32_t>(key % cpc),
+                  f->Evaluate(state));
+        }
+        return out.Take();
+      },
+      "blockCells");
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(runs), cpc));
 }
 
 }  // namespace

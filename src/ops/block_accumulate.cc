@@ -62,29 +62,30 @@ void BlockAccumulator::Walk(
     touched_.resize(slots, 0);
   }
   const uint32_t* col = slot_of_[nd - 1].data();
-  std::vector<size_t> idx(nd, 0);
-  DeltaCounter counter = chunk.RangeCounter();
-  do {
-    size_t row_slot = 0;
-    for (size_t d = 0; d + 1 < nd; ++d) {
-      row_slot += slot_of_[d][idx[d]] * slot_stride_[d];
-    }
-    const uint32_t begin = box.RowStart(idx);
-    chunk.ForEachValidInRange(
-        begin, begin + box.width(), &counter, [&](uint32_t off, double v) {
-          const size_t s = row_slot + col[off - begin];
-          if (!touched_[s]) {
-            touched_[s] = 1;
-            order_.push_back(static_cast<uint32_t>(s));
-            states_[s] = f_->Initialize();
-            if (running != nullptr) {
-              auto it = running->find(KeyOf(s));
-              if (it != running->end()) states_[s] = it->second;
-            }
+  size_t row_slot = 0;
+  uint32_t begin = 0;
+  box.ForEachValid(
+      chunk,
+      [&](const std::vector<size_t>& idx, uint32_t row_begin) {
+        row_slot = 0;
+        for (size_t d = 0; d + 1 < nd; ++d) {
+          row_slot += slot_of_[d][idx[d]] * slot_stride_[d];
+        }
+        begin = row_begin;
+      },
+      [&](uint32_t off, double v) {
+        const size_t s = row_slot + col[off - begin];
+        if (!touched_[s]) {
+          touched_[s] = 1;
+          order_.push_back(static_cast<uint32_t>(s));
+          states_[s] = f_->Initialize();
+          if (running != nullptr) {
+            auto it = running->find(KeyOf(s));
+            if (it != running->end()) states_[s] = it->second;
           }
-          f_->Accumulate(&states_[s], v);
-        });
-  } while (box.NextRow(&idx));
+        }
+        f_->Accumulate(&states_[s], v);
+      });
   for (uint32_t s : order_) {
     if (running != nullptr) {
       (*running)[KeyOf(s)] = states_[s];

@@ -35,59 +35,62 @@ OverlapArrayRdd OverlapArrayRdd::Build(const ArrayRdd& base, uint64_t radius) {
   }
 
   // Halo exchange: every valid cell goes to its own chunk and to every
-  // neighbor whose ghost region contains it. One shuffle, then grouped
-  // into expanded chunks. The cells neighbor `step` sees form a box: the
-  // whole chunk along a 0 step, the `radius` cells next to the shared face
-  // along a -1 or +1 step. Each box is walked row by row.
-  auto scattered = base.chunks().AsRdd().FlatMap(
+  // neighbor whose ghost region contains it. The cells neighbor `step`
+  // sees form a box: the whole chunk along a 0 step, the `radius` cells
+  // next to the shared face along a -1 or +1 step. Each box is walked row
+  // by row into the partition's run for that neighbor, and one shuffle
+  // moves one run per (partition, neighbor) into the expanded chunks.
+  auto runs = base.chunks().AsRdd().MapPartitionsWithIndex<
+      std::pair<ChunkId, CellRun>>(
       [mapper = out.mapper_, radii = out.radii_](
-          const std::pair<ChunkId, Chunk>& rec) {
-        const auto& [cid, chunk] = rec;
+          int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
         const size_t nd = radii.size();
-        const ChunkBox core = ChunkBox::Core(*mapper, cid);
-        std::vector<std::pair<ChunkId, std::pair<uint32_t, double>>> out_recs;
-        std::vector<int64_t> step(nd, -1);
-        for (;;) {
-          // The cells the neighbor at `step` sees, as a box of this chunk.
-          ChunkBox box = core;
-          Coords neighbor = core.origin;
-          bool empty = false;
-          for (size_t d = 0; d < nd; ++d) {
-            const auto cs = static_cast<int64_t>(core.ext[d]);
-            const auto r = static_cast<int64_t>(radii[d]);
-            if (step[d] < 0) box.hi[d] = std::min(core.hi[d], core.lo[d] + r);
-            if (step[d] > 0) box.lo[d] = core.lo[d] + cs - r;
-            neighbor[d] += step[d] * cs;
-            empty = empty || box.lo[d] >= box.hi[d];
-          }
-          if (!empty && mapper->InBounds(neighbor)) {
-            // The same box in the neighbor's expanded layout.
-            ChunkBox to = box;
-            to.origin = neighbor;
-            to = Expand(std::move(to), radii);
-            const ChunkId ncid = mapper->ChunkIdFromCoords(neighbor);
-            std::vector<size_t> idx(nd, 0);
-            DeltaCounter counter = chunk.RangeCounter();
-            do {
-              const uint32_t begin = box.RowStart(idx);
-              const uint32_t target = to.RowStart(idx);
-              chunk.ForEachValidInRange(
-                  begin, begin + box.width(), &counter,
+        internal::ChunkRuns out_runs;
+        for (const auto& [cid, chunk] : recs) {
+          const ChunkBox core = ChunkBox::Core(*mapper, cid);
+          std::vector<int64_t> step(nd, -1);
+          for (;;) {
+            // The cells the neighbor at `step` sees, as a box of this chunk.
+            ChunkBox box = core;
+            Coords neighbor = core.origin;
+            bool empty = false;
+            for (size_t d = 0; d < nd; ++d) {
+              const auto cs = static_cast<int64_t>(core.ext[d]);
+              const auto r = static_cast<int64_t>(radii[d]);
+              if (step[d] < 0) box.hi[d] = std::min(core.hi[d], core.lo[d] + r);
+              if (step[d] > 0) box.lo[d] = core.lo[d] + cs - r;
+              neighbor[d] += step[d] * cs;
+              empty = empty || box.lo[d] >= box.hi[d];
+            }
+            if (!empty && mapper->InBounds(neighbor)) {
+              // The same box in the neighbor's expanded layout.
+              ChunkBox to = box;
+              to.origin = neighbor;
+              to = Expand(std::move(to), radii);
+              const ChunkId ncid = mapper->ChunkIdFromCoords(neighbor);
+              uint32_t begin = 0;
+              uint32_t target = 0;
+              box.ForEachValid(
+                  chunk,
+                  [&](const std::vector<size_t>& idx, uint32_t row_begin) {
+                    begin = row_begin;
+                    target = to.RowStart(idx);
+                  },
                   [&](uint32_t off, double v) {
-                    out_recs.emplace_back(
-                        ncid, std::make_pair(target + (off - begin), v));
+                    out_runs.Add(ncid, target + (off - begin), v);
                   });
-            } while (box.NextRow(&idx));
+            }
+            size_t d = 0;
+            while (d < nd && ++step[d] > 1) step[d++] = -1;
+            if (d == nd) break;
           }
-          size_t d = 0;
-          while (d < nd && ++step[d] > 1) step[d++] = -1;
-          if (d == nd) break;
         }
-        return out_recs;
-      });
+        return out_runs.Take();
+      },
+      "haloExchange");
 
   out.chunks_ = GroupIntoChunks(
-      std::move(scattered), expanded_cells, ModePolicy::Auto(),
+      std::move(runs), expanded_cells, ModePolicy::Auto(),
       std::make_shared<HashPartitioner<ChunkId>>(
           base.chunks().num_partitions()));
   return out;
@@ -107,43 +110,46 @@ ArrayRdd OverlapArrayRdd::WindowAggregate(const AggregateFunction& fn) const {
         std::vector<uint64_t> stride(nd);
         for (size_t d = nd, s = 1; d-- > 0; s *= ex.ext[d]) stride[d] = s;
         std::vector<std::pair<uint32_t, double>> out_cells;
-        std::vector<size_t> idx(nd, 0);
         std::vector<int64_t> lo(nd), hi(nd), cur(nd);
-        DeltaCounter counter = chunk.RangeCounter();
-        do {
-          const uint32_t begin = ex.RowStart(idx);
-          const uint32_t out_begin = core.RowStart(idx);
-          chunk.ForEachValidInRange(
-              begin, begin + ex.width(), &counter, [&](uint32_t off, double) {
-                // The per-dim (2*radii[d]+1) neighborhood, clipped to the
-                // array, in expanded indices; dimension 0 runs fastest.
-                for (size_t d = 0; d < nd; ++d) {
-                  const int64_t p =
-                      core.lo[d] + static_cast<int64_t>(
-                                       d + 1 == nd ? off - begin : idx[d]);
-                  const auto r = static_cast<int64_t>(radii[d]);
-                  const int64_t end =
-                      m.dim(d).start + static_cast<int64_t>(m.dim(d).size);
-                  lo[d] = std::max(p - r, m.dim(d).start) - ex.origin[d];
-                  hi[d] = std::min(p + r + 1, end) - ex.origin[d];
+        const std::vector<size_t>* idx = nullptr;
+        uint32_t begin = 0;
+        uint32_t out_begin = 0;
+        ex.ForEachValid(
+            chunk,
+            [&](const std::vector<size_t>& row, uint32_t row_begin) {
+              idx = &row;
+              begin = row_begin;
+              out_begin = core.RowStart(row);
+            },
+            [&](uint32_t off, double) {
+              // The per-dim (2*radii[d]+1) neighborhood, clipped to the
+              // array, in expanded indices; dimension 0 runs fastest.
+              for (size_t d = 0; d < nd; ++d) {
+                const int64_t p =
+                    core.lo[d] + static_cast<int64_t>(
+                                     d + 1 == nd ? off - begin : (*idx)[d]);
+                const auto r = static_cast<int64_t>(radii[d]);
+                const int64_t end =
+                    m.dim(d).start + static_cast<int64_t>(m.dim(d).size);
+                lo[d] = std::max(p - r, m.dim(d).start) - ex.origin[d];
+                hi[d] = std::min(p + r + 1, end) - ex.origin[d];
+                cur[d] = lo[d];
+              }
+              AggState state = f->Initialize();
+              for (size_t d = 0; d < nd;) {
+                uint64_t n_off = 0;
+                for (size_t k = 0; k < nd; ++k) {
+                  n_off += static_cast<uint64_t>(cur[k]) * stride[k];
+                }
+                const auto n = static_cast<uint32_t>(n_off);
+                if (chunk.Valid(n)) f->Accumulate(&state, chunk.Value(n));
+                for (d = 0; d < nd && ++cur[d] == hi[d]; ++d) {
                   cur[d] = lo[d];
                 }
-                AggState state = f->Initialize();
-                for (size_t d = 0; d < nd;) {
-                  uint64_t n_off = 0;
-                  for (size_t k = 0; k < nd; ++k) {
-                    n_off += static_cast<uint64_t>(cur[k]) * stride[k];
-                  }
-                  const auto n = static_cast<uint32_t>(n_off);
-                  if (chunk.Valid(n)) f->Accumulate(&state, chunk.Value(n));
-                  for (d = 0; d < nd && ++cur[d] == hi[d]; ++d) {
-                    cur[d] = lo[d];
-                  }
-                }
-                out_cells.emplace_back(out_begin + (off - begin),
-                                       f->Evaluate(state));
-              });
-        } while (ex.NextRow(&idx));
+              }
+              out_cells.emplace_back(out_begin + (off - begin),
+                                     f->Evaluate(state));
+            });
         const uint32_t cells = mapper->cells_per_chunk();
         const ChunkMode mode = Chunk::ChooseMode(cells, out_cells.size());
         return std::pair<ChunkId, Chunk>(
@@ -179,18 +185,17 @@ Result<ArrayRdd> OverlapArrayRdd::RegridAggregateLocal(
   // its core region and walks only those blocks' cells: from the first
   // origin at or after the chunk start to the end of the last owned
   // block, reading straddling cells from the ghost region.
-  auto cells_rdd = chunks_.AsRdd().MapPartitionsWithIndex<
-      std::pair<ChunkId, std::pair<uint32_t, double>>>(
+  auto runs = chunks_.AsRdd().MapPartitionsWithIndex<
+      std::pair<ChunkId, CellRun>>(
       [mapper = mapper_, out_mapper, radii = radii_, grid, f](
           int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
         const ArrayMetadata& m = mapper->metadata();
         const uint64_t cpc = out_mapper->cells_per_chunk();
         internal::BlockAccumulator acc(m, grid, out_mapper, f);
-        std::vector<std::pair<ChunkId, std::pair<uint32_t, double>>> out;
+        internal::ChunkRuns out;
         const auto emit = [&](uint64_t key, const AggState& state) {
-          out.emplace_back(key / cpc,
-                           std::make_pair(static_cast<uint32_t>(key % cpc),
-                                          f->Evaluate(state)));
+          out.Add(key / cpc, static_cast<uint32_t>(key % cpc),
+                  f->Evaluate(state));
         };
         for (const auto& [cid, chunk] : recs) {
           ChunkBox box = ChunkBox::Core(*mapper, cid);
@@ -205,10 +210,10 @@ Result<ArrayRdd> OverlapArrayRdd::RegridAggregateLocal(
           }
           acc.Walk(chunk, Expand(std::move(box), radii), nullptr, emit);
         }
-        return out;
+        return out.Take();
       },
       "regridLocal");
-  return ArrayRdd(out_meta, GroupIntoChunks(std::move(cells_rdd),
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(runs),
                                             out_mapper->cells_per_chunk()));
 }
 

@@ -11,8 +11,9 @@ namespace spangle {
 /// An array whose chunks carry `radius` ghost cells past every chunk
 /// boundary (the *overlap* technique of paper Sec. III-A, after
 /// ArrayStore [18]). Building the overlap costs one halo-exchange
-/// shuffle; afterwards operators that need neighbor cells (windowing,
-/// regridding — Q2 and Q5 in the evaluation) never exchange raw cells.
+/// shuffle, of one run of cells per (partition, neighbor chunk);
+/// afterwards operators that need neighbor cells (windowing, regridding —
+/// Q2 and Q5 in the evaluation) never exchange raw cells.
 class OverlapArrayRdd {
  public:
   OverlapArrayRdd() = default;
@@ -43,8 +44,8 @@ class OverlapArrayRdd {
   /// reading straddling cells from the ghost region. Requires a radius of
   /// grid-1 along every dimension whose chunks the blocks straddle. Same
   /// result as RegridAggregate, bit for bit per block, but no input cell
-  /// moves: one GroupByKey places the finished output cells (one record
-  /// per non-empty output cell) into output chunks.
+  /// moves: one shuffle places the finished output cells into output
+  /// chunks, one run per (partition, output chunk).
   Result<ArrayRdd> RegridAggregateLocal(const AggregateFunction& fn,
                                         const std::vector<uint64_t>& grid)
       const;

@@ -28,26 +28,28 @@ Result<ArrayRdd> Slice(const ArrayRdd& in, const std::string& dim_name,
       [in_mapper, axis, wanted_grid](const std::pair<ChunkId, Chunk>& rec) {
         return in_mapper->ChunkGridCoords(rec.first)[axis] == wanted_grid;
       });
-  auto scattered = relevant.AsRdd().FlatMap(
+  auto runs = relevant.AsRdd().MapPartitionsWithIndex<
+      std::pair<ChunkId, CellRun>>(
       [in_mapper, out_mapper, axis, coordinate](
-          const std::pair<ChunkId, Chunk>& rec) {
-        std::vector<std::pair<ChunkId, std::pair<uint32_t, double>>> out;
+          int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
+        internal::ChunkRuns out;
         Coords reduced(in_mapper->metadata().num_dims() - 1);
-        rec.second.ForEachValid([&](uint32_t off, double v) {
-          const Coords pos =
-              in_mapper->CoordsFromChunkOffset(rec.first, off);
-          if (pos[axis] != coordinate) return;
-          size_t k = 0;
-          for (size_t d = 0; d < pos.size(); ++d) {
-            if (d != axis) reduced[k++] = pos[d];
-          }
-          out.emplace_back(out_mapper->ChunkIdFromCoords(reduced),
-                           std::make_pair(out_mapper->LocalOffset(reduced),
-                                          v));
-        });
-        return out;
-      });
-  return ArrayRdd(out_meta, GroupIntoChunks(std::move(scattered),
+        for (const auto& [cid, chunk] : recs) {
+          chunk.ForEachValid([&](uint32_t off, double v) {
+            const Coords pos = in_mapper->CoordsFromChunkOffset(cid, off);
+            if (pos[axis] != coordinate) return;
+            size_t k = 0;
+            for (size_t d = 0; d < pos.size(); ++d) {
+              if (d != axis) reduced[k++] = pos[d];
+            }
+            out.Add(out_mapper->ChunkIdFromCoords(reduced),
+                    out_mapper->LocalOffset(reduced), v);
+          });
+        }
+        return out.Take();
+      },
+      "slice");
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(runs),
                                             out_mapper->cells_per_chunk()));
 }
 
@@ -135,24 +137,27 @@ Result<ArrayRdd> Concat(const ArrayRdd& left, const ArrayRdd& right,
   const int64_t shift = static_cast<int64_t>(lm.dim(axis).size) +
                         lm.dim(axis).start - rm.dim(axis).start;
 
-  auto remap = [out_mapper, axis](std::shared_ptr<const Mapper> src,
-                                  int64_t delta) {
-    return [out_mapper, src, axis, delta](
-               const std::pair<ChunkId, Chunk>& rec) {
-      std::vector<std::pair<ChunkId, std::pair<uint32_t, double>>> out;
-      rec.second.ForEachValid([&](uint32_t off, double v) {
-        Coords pos = src->CoordsFromChunkOffset(rec.first, off);
-        pos[axis] += delta;
-        out.emplace_back(out_mapper->ChunkIdFromCoords(pos),
-                         std::make_pair(out_mapper->LocalOffset(pos), v));
-      });
-      return out;
-    };
+  // Each side's cells, shifted along the axis, grouped into runs.
+  auto remap = [&out_mapper, axis](const ArrayRdd& side, int64_t delta) {
+    return side.chunks().AsRdd().MapPartitionsWithIndex<
+        std::pair<ChunkId, CellRun>>(
+        [out_mapper, src = side.mapper_ptr(), axis, delta](
+            int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
+          internal::ChunkRuns out;
+          for (const auto& [cid, chunk] : recs) {
+            chunk.ForEachValid([&](uint32_t off, double v) {
+              Coords pos = src->CoordsFromChunkOffset(cid, off);
+              pos[axis] += delta;
+              out.Add(out_mapper->ChunkIdFromCoords(pos),
+                      out_mapper->LocalOffset(pos), v);
+            });
+          }
+          return out.Take();
+        },
+        "concat");
   };
-  auto scattered =
-      left.chunks().AsRdd().FlatMap(remap(left.mapper_ptr(), 0)).Union(
-          right.chunks().AsRdd().FlatMap(remap(right.mapper_ptr(), shift)));
-  return ArrayRdd(out_meta, GroupIntoChunks(std::move(scattered),
+  auto runs = remap(left, 0).Union(remap(right, shift));
+  return ArrayRdd(out_meta, GroupIntoChunks(std::move(runs),
                                             out_mapper->cells_per_chunk()));
 }
 

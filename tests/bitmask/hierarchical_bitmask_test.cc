@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -79,6 +80,61 @@ TEST(HierarchicalBitmaskTest, ForEachSetBitMatchesFlat) {
   flat.ForEachSetBit([&](size_t i) { from_flat.push_back(i); });
   h.ForEachSetBit([&](size_t i) { from_h.push_back(i); });
   EXPECT_EQ(from_flat, from_h);
+}
+
+/// A super-sparse mask whose set bits sit in a few short clusters, with
+/// long all-zero stretches between them.
+Bitmask ClusteredMask(size_t bits, uint64_t seed) {
+  Rng rng(seed);
+  Bitmask m(bits);
+  for (int c = 0; c < 6; ++c) {
+    const size_t at = rng.NextBounded(bits);
+    for (size_t i = at; i < std::min(bits, at + 90); ++i) {
+      if (rng.NextBool(0.3)) m.Set(i);
+    }
+  }
+  return m;
+}
+
+// SkipZeroWords never jumps over a set bit and lands on a non-zero word.
+TEST(HierarchicalBitmaskTest, SkipZeroWordsStopsAtTheNextNonZeroWord) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const Bitmask flat = ClusteredMask(9000 + seed * 37, seed);
+    const auto h = HierarchicalBitmask::FromBitmask(flat);
+    for (size_t from = 0; from <= flat.num_bits(); ++from) {
+      const size_t to = h.SkipZeroWords(from);
+      ASSERT_GE(to, from);
+      ASSERT_LE(to, flat.num_bits());
+      for (size_t i = from; i < to; ++i) ASSERT_FALSE(flat.Test(i)) << i;
+      if (to < flat.num_bits() && to != from) {
+        ASSERT_NE(flat.word(to / Bitmask::kBitsPerWord), 0u) << "from " << from;
+        ASSERT_EQ(to % Bitmask::kBitsPerWord, 0u);
+      }
+    }
+  }
+}
+
+// Range walks sharing one counter, over ranges that mostly fall in the
+// empty stretches, visit exactly the set bits with their payload ranks.
+TEST(HierarchicalBitmaskTest, RangeWalksOverLongEmptyStretchesMatchFlat) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const Bitmask flat = ClusteredMask(20000, seed);
+    const auto h = HierarchicalBitmask::FromBitmask(flat);
+    for (size_t width : {1, 7, 64, 100, 128, 1000}) {
+      std::vector<std::pair<size_t, uint64_t>> got, want;
+      DeltaCounter counter(h.upper_mask());
+      for (size_t begin = 0; begin < flat.num_bits(); begin += width + 3) {
+        h.ForEachSetBitInRange(begin, begin + width, &counter,
+                               [&](size_t bit, uint64_t rank) {
+                                 got.emplace_back(bit, rank);
+                               });
+        flat.ForEachSetBitInRange(begin, begin + width, [&](size_t bit) {
+          want.emplace_back(bit, flat.Rank(bit));
+        });
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " width " << width;
+    }
+  }
 }
 
 // FromSortedBits must build exactly what FromBitmask builds from the

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -221,12 +222,13 @@ TEST(PlanClaimsTest, MaskRddFilterIsLazyAndShuffleFree) {
             eager_filtered.Attribute("b")->CountValid());
 }
 
-// The overlap regrid never moves an input cell: its one shuffle is the
-// GroupByKey that places the finished output cells, one record per
-// non-empty output cell.
-TEST(PlanClaimsTest, OverlapRegridShufflesOneRecordPerOutputCell) {
+// The overlap regrid never moves an input cell: its one shuffle places
+// the finished output cells, one run per (map partition, output chunk) —
+// far fewer records than output cells.
+TEST(PlanClaimsTest, OverlapRegridShufflesOneRunPerOutputChunk) {
   Context ctx(2);
-  auto overlap = OverlapArrayRdd::Build(Ramp(&ctx), 2);
+  const ArrayRdd base = Ramp(&ctx);
+  auto overlap = OverlapArrayRdd::Build(base, 2);
   overlap.Cache();
   overlap.expanded_chunks().Count();  // the halo exchange, paid up front
   // 3x3 blocks straddle the 4x4 chunks: 36 output cells from 256 inputs.
@@ -238,7 +240,71 @@ TEST(PlanClaimsTest, OverlapRegridShufflesOneRecordPerOutputCell) {
   const uint64_t records_before = ctx.metrics().shuffle_records.load();
   EXPECT_EQ(regridded.CountValid(), 36u);
   EXPECT_EQ(ctx.metrics().shuffles.load() - shuffles_before, 1u);
-  EXPECT_EQ(ctx.metrics().shuffle_records.load() - records_before, 36u);
+  // An output cell comes from the partition of the chunk holding its
+  // block's origin.
+  std::set<std::pair<int, ChunkId>> runs;
+  for (const CellValue& cell : regridded.CollectCells()) {
+    const ChunkId owner =
+        base.mapper().ChunkIdFromCoords({3 * cell.pos[0], 3 * cell.pos[1]});
+    runs.emplace(overlap.expanded_chunks().partitioner()->PartitionFor(owner),
+                 regridded.mapper().ChunkIdFromCoords(cell.pos));
+  }
+  EXPECT_EQ(ctx.metrics().shuffle_records.load() - records_before,
+            runs.size());
+  EXPECT_LT(runs.size(), 36u);
+}
+
+// The halo exchange ships one run per (map partition, neighbor chunk)
+// that receives a cell, not one record per (cell, neighbor), and builds no
+// empty expanded chunk.
+TEST(PlanClaimsTest, HaloExchangeShufflesRunsNotCells) {
+  Context ctx(2, 3);
+  const ArrayMetadata meta =
+      *ArrayMetadata::Make({{"x", 0, 40, 10, 0}, {"y", 0, 40, 10, 0}});
+  Rng rng(11);
+  std::vector<CellValue> cells;
+  for (int64_t x = 0; x < 40; ++x) {
+    for (int64_t y = 0; y < 40; ++y) {
+      // The last chunk row stays empty: it gets expanded chunks holding
+      // only the ghosts its neighbors send.
+      if (x < 30 && rng.NextBool(0.9)) cells.push_back({{x, y}, 1.0});
+    }
+  }
+  const ArrayRdd base = *ArrayRdd::FromCells(&ctx, meta, cells);
+  const int64_t r = 2;
+  // Every (cell, neighbor whose expanded box holds it) pair, by brute force.
+  const Mapper& mapper = base.mapper();
+  std::set<std::pair<int, ChunkId>> runs;
+  std::set<ChunkId> receivers;
+  uint64_t cell_records = 0;
+  for (const CellValue& cell : cells) {
+    const int part = base.chunks().partitioner()->PartitionFor(
+        mapper.ChunkIdFromCoords(cell.pos));
+    for (int64_t dx = -1; dx <= 1; ++dx) {
+      for (int64_t dy = -1; dy <= 1; ++dy) {
+        const Coords n = {cell.pos[0] / 10 * 10 + 10 * dx,
+                          cell.pos[1] / 10 * 10 + 10 * dy};
+        if (!mapper.InBounds(n) || cell.pos[0] < n[0] - r ||
+            cell.pos[0] >= n[0] + 10 + r || cell.pos[1] < n[1] - r ||
+            cell.pos[1] >= n[1] + 10 + r) {
+          continue;
+        }
+        runs.emplace(part, mapper.ChunkIdFromCoords(n));
+        receivers.insert(mapper.ChunkIdFromCoords(n));
+        ++cell_records;
+      }
+    }
+  }
+  const uint64_t records_before = ctx.metrics().shuffle_records.load();
+  auto overlap = OverlapArrayRdd::Build(base, r);
+  const auto expanded = overlap.expanded_chunks().Collect();
+  EXPECT_EQ(ctx.metrics().shuffle_records.load() - records_before,
+            runs.size());
+  EXPECT_LT(runs.size() * 20, cell_records);
+  EXPECT_EQ(expanded.size(), receivers.size());
+  for (const auto& [cid, chunk] : expanded) {
+    EXPECT_GT(chunk.num_valid(), 0u) << "chunk " << cid;
+  }
 }
 
 }  // namespace

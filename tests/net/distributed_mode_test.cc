@@ -29,6 +29,7 @@
 #include "engine/engine.h"
 #include "matrix/block_matrix.h"
 #include "ml/pagerank.h"
+#include "ops/overlap.h"
 #include "net/executor_fleet.h"
 #include "net/frame.h"
 #include "net/message.h"
@@ -105,6 +106,38 @@ TEST(DistributedModeTest, CountAndDistinctMatchLocal) {
   };
   EXPECT_EQ(make(&dist).Count(), make(&local).Count());
   EXPECT_EQ(make(&dist).Distinct().Count(), make(&local).Distinct().Count());
+  EXPECT_GT(dist.metrics().remote_shuffle_fetches.load(), 0u);
+}
+
+// Chunk builds shuffle runs of cells (one vector per record): the lazy
+// ingest and the halo exchange must come back from the daemons bit for
+// bit, in the same record order as in LOCAL mode.
+TEST(DistributedModeTest, ChunkRunShufflesMatchLocalBitExactly) {
+  const ArrayMetadata meta =
+      *ArrayMetadata::Make({{"x", -4, 40, 8, 0}, {"y", 3, 30, 7, 0}});
+  Rng rng(21);
+  std::vector<CellValue> cells;
+  for (int64_t x = -4; x < 36; ++x) {
+    for (int64_t y = 3; y < 33; ++y) {
+      if (rng.NextBool(0.3)) cells.push_back({{x, y}, rng.NextDouble(-1, 1)});
+    }
+  }
+  auto run = [&](Context* ctx) {
+    auto base = *ArrayRdd::FromCellsDistributed(ctx, meta, cells);
+    std::vector<std::string> out;
+    for (const auto& [id, chunk] :
+         OverlapArrayRdd::Build(base, 2).expanded_chunks().Collect()) {
+      std::string bytes(reinterpret_cast<const char*>(&id), sizeof(id));
+      chunk.AppendTo(&bytes);
+      out.push_back(std::move(bytes));
+    }
+    return out;
+  };
+  Context local(2, 4);
+  Context dist(2, 4, 0, {}, Distributed(2));
+  const auto want = run(&local);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(run(&dist), want);
   EXPECT_GT(dist.metrics().remote_shuffle_fetches.load(), 0u);
 }
 

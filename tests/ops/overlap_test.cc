@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
+#include "common/random.h"
 #include "ops/aggregator.h"
 
 namespace spangle {
@@ -142,6 +147,86 @@ TEST(OverlapTest, RegridLocalAlignedBlocks) {
   EXPECT_EQ(result.metadata().dim(0).size, 6u);
   // Block (0,0): cells (0,0),(0,1),(1,0),(1,1) -> 0+1+12+13 = 26.
   EXPECT_DOUBLE_EQ(*result.GetCell({0, 0}), 26.0);
+}
+
+/// Cells of `meta` in shuffled order; chunk c gets density
+/// densities[c % 3], so chunks of one array differ in mode.
+std::vector<CellValue> MixedDensityCells(const ArrayMetadata& meta,
+                                         uint64_t seed,
+                                         const std::vector<double>& densities) {
+  const Mapper mapper(meta);
+  Rng rng(seed);
+  std::vector<CellValue> cells;
+  const size_t nd = meta.num_dims();
+  Coords pos(nd);
+  for (size_t d = 0; d < nd; ++d) pos[d] = meta.dim(d).start;
+  for (uint64_t i = 0; i < meta.total_cells(); ++i) {
+    if (rng.NextBool(densities[mapper.ChunkIdFromCoords(pos) % 3])) {
+      cells.push_back({pos, rng.NextDouble(-4, 4)});
+    }
+    for (size_t d = nd; d-- > 0;) {
+      if (++pos[d] <
+          meta.dim(d).start + static_cast<int64_t>(meta.dim(d).size)) {
+        break;
+      }
+      pos[d] = meta.dim(d).start;
+    }
+  }
+  for (size_t i = cells.size(); i > 1; --i) {
+    std::swap(cells[i - 1], cells[rng.NextBounded(i)]);
+  }
+  return cells;
+}
+
+/// FNV-1a over every expanded chunk, in collect order: its id, then its
+/// binary encoding (mode, cell count, valid offsets and value bits).
+void HashExpanded(const OverlapArrayRdd& overlap, uint64_t* h,
+                  std::set<ChunkMode>* modes) {
+  auto mix = [h](const std::string& bytes) {
+    for (unsigned char c : bytes) {
+      *h ^= c;
+      *h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [cid, chunk] : overlap.expanded_chunks().Collect()) {
+    modes->insert(chunk.mode());
+    mix(std::string(reinterpret_cast<const char*>(&cid), sizeof(cid)));
+    std::string bytes;
+    chunk.AppendTo(&bytes);
+    mix(bytes);
+  }
+}
+
+// Pins the halo exchange's output bit for bit, including the record
+// order within each partition: ghost cells reach each expanded chunk in
+// the same order whatever the shuffle carries.
+TEST(OverlapTest, ExpandedChunksArePinnedBitForBit) {
+  Context ctx(3);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  std::set<ChunkMode> modes;
+  auto meta2 = *ArrayMetadata::Make({{"x", -3, 37, 8, 0}, {"y", 5, 29, 6, 0}});
+  auto base2 = *ArrayRdd::FromCells(
+      &ctx, meta2, MixedDensityCells(meta2, 7, {0.9, 0.2, 0.01}),
+      ModePolicy::Auto(), 4);
+  HashExpanded(OverlapArrayRdd::Build(base2, 2), &h, &modes);
+  // Clamped to the chunk size along y.
+  HashExpanded(OverlapArrayRdd::Build(base2, 7), &h, &modes);
+  auto meta3 = *ArrayMetadata::Make(
+      {{"z", 1, 3, 1, 0}, {"x", 0, 20, 7, 0}, {"y", -2, 18, 5, 0}});
+  auto base3 = *ArrayRdd::FromCells(
+      &ctx, meta3, MixedDensityCells(meta3, 8, {1.0, 0.95, 0.05}),
+      ModePolicy::Auto(), 5);
+  HashExpanded(OverlapArrayRdd::Build(base3, 1), &h, &modes);
+  auto sparse_meta =
+      *ArrayMetadata::Make({{"x", 2, 90, 32, 0}, {"y", 0, 70, 32, 0}});
+  auto sparse = *ArrayRdd::FromCells(
+      &ctx, sparse_meta,
+      MixedDensityCells(sparse_meta, 9, {0.004, 0.01, 0.002}),
+      ModePolicy::Auto(), 3);
+  HashExpanded(OverlapArrayRdd::Build(sparse, 3), &h, &modes);
+  EXPECT_EQ(modes.size(), 3u)
+      << "the pin must cover dense, sparse and super-sparse chunks";
+  EXPECT_EQ(h, 0x6e095f51f6725450ULL);
 }
 
 }  // namespace
