@@ -48,7 +48,8 @@ class ArrayRdd {
   /// Builds from discrete cells, eagerly, on the workers (paper Sec.
   /// III-A): contiguous slices of `cells` are validated and grouped into
   /// runs in parallel, then every chunk is built in parallel from its
-  /// runs, in input order. A cell of the wrong dimensionality fails with
+  /// runs, in input order. A position given more than once keeps its last
+  /// value in input order. A cell of the wrong dimensionality fails with
   /// InvalidArgument, one outside the array bounds with OutOfRange; with
   /// several bad cells the first in input order decides. The build runs
   /// two stages on the pool ("ingest/group", "ingest/build"), which count

@@ -36,8 +36,25 @@ Chunk Chunk::FromCells(uint32_t num_cells,
   const auto by_offset = [](const auto& a, const auto& b) {
     return a.first < b.first;
   };
-  if (!std::is_sorted(cells.begin(), cells.end(), by_offset)) {
-    std::sort(cells.begin(), cells.end(), by_offset);
+  const auto not_before = [](const auto& a, const auto& b) {
+    return a.first >= b.first;
+  };
+  // Strictly increasing offsets (the common case) need neither pass.
+  if (std::adjacent_find(cells.begin(), cells.end(), not_before) !=
+      cells.end()) {
+    if (!std::is_sorted(cells.begin(), cells.end(), by_offset)) {
+      std::stable_sort(cells.begin(), cells.end(), by_offset);
+    }
+    // One cell per offset: the last in input order wins.
+    size_t kept = 0;
+    for (const auto& cell : cells) {
+      if (kept > 0 && cells[kept - 1].first == cell.first) {
+        cells[kept - 1].second = cell.second;
+      } else {
+        cells[kept++] = cell;
+      }
+    }
+    cells.resize(kept);
   }
   Chunk c;
   c.mode_ = mode;

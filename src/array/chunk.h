@@ -39,8 +39,10 @@ class Chunk {
   /// All-invalid dense chunk of `num_cells` cells (mutable via Set).
   static Chunk MakeDense(uint32_t num_cells);
 
-  /// Builds a chunk in `mode` from (offset, value) cells. Offsets must be
-  /// unique; order does not matter, but offset-sorted input skips the sort.
+  /// Builds a chunk in `mode` from (offset, value) cells. Order does not
+  /// matter, but strictly offset-sorted input skips the sort. A repeated
+  /// offset keeps its last value in input order, and num_valid() counts
+  /// distinct offsets.
   /// Super-sparse chunks build their two-level mask straight from the
   /// sorted offsets, never allocating a num_cells-bit flat mask.
   static Chunk FromCells(uint32_t num_cells,

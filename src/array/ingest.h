@@ -21,7 +21,8 @@ namespace spangle {
 
 /// Reads a CSV file into a multi-attribute array. `meta` fixes dimension
 /// order, bounds and chunking; attribute columns follow the dims in the
-/// header.
+/// header. A position on several rows keeps, per attribute, the value of
+/// the last of those rows whose field is neither null nor NaN.
 Result<SpangleArray> ReadCsv(Context* ctx, const std::string& path,
                              const ArrayMetadata& meta,
                              ModePolicy policy = ModePolicy::Auto(),

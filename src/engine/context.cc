@@ -22,7 +22,6 @@ Context::Context(int num_workers, int default_parallelism,
       default_parallelism_(default_parallelism > 0 ? default_parallelism
                                                    : 2 * num_workers),
       task_overhead_us_(task_overhead_us) {
-  trace_spans_.set_enabled(deploy.distributed.tracing);
   if (deploy.mode == DeploymentMode::kDistributed) {
     // The fleet stamps trace headers from the calling thread's context,
     // mints client span ids from trace_spans_, and uses the pool clock as
@@ -54,10 +53,6 @@ void Context::RunStage(const std::string& name, int n,
                        int stage_attempt) {
   const FaultToleranceOptions opts = fault_options();
   const std::shared_ptr<const ChaosPolicy> chaos = chaos_policy();
-  // Bound to every task thread of this stage (null = profiling off, all
-  // hooks reduce to one branch).
-  RuntimeProfile* const profile = profiling_enabled() ? &profile_ : nullptr;
-
   StageStat stat;
   stat.job_id = internal::CurrentJobId();
   stat.seq = next_stage_seq_.fetch_add(1);
@@ -72,11 +67,8 @@ void Context::RunStage(const std::string& name, int n,
   // the trace id so stages reached without RunJob still trace. Each task
   // rebinds with a freshly minted span id, which is what the fleet stamps
   // as parent_span_id on the RPCs that task issues.
-  TraceContext stage_trace;
-  if (trace_spans_.enabled()) {
-    stage_trace = trace::Current();
-    if (stage_trace.trace_id == 0) stage_trace.trace_id = stat.job_id;
-  }
+  TraceContext stage_trace = trace::Current();
+  if (stage_trace.trace_id == 0) stage_trace.trace_id = stat.job_id;
 
   // Primary per-index timing slots live in stat.tasks[0..n); retry
   // attempts are appended afterwards as extra trace lanes.
@@ -86,7 +78,7 @@ void Context::RunStage(const std::string& name, int n,
 
   const int overhead = task_overhead_us_;
   stat.start_us = pool_.NowMicros();
-  if (profile != nullptr) profile->SampleCounters(stat.start_us);
+  profile_.SampleCounters(stat.start_us);
 
   std::vector<int> pending(static_cast<size_t>(std::max(n, 0)));
   for (int i = 0; i < n; ++i) pending[static_cast<size_t>(i)] = i;
@@ -98,7 +90,7 @@ void Context::RunStage(const std::string& name, int n,
   // StageStat for Explain()/DumpTrace.
   const auto Finalize = [&] {
     stat.wall_us = pool_.NowMicros() - stat.start_us;
-    if (profile != nullptr) profile->SampleCounters(pool_.NowMicros());
+    profile_.SampleCounters(pool_.NowMicros());
     // Task-time distribution over the primary attempts: min/max/total,
     // the task_duration_us histogram, skew ratio (max/mean), stragglers
     // (> 2x mean).
@@ -142,9 +134,9 @@ void Context::RunStage(const std::string& name, int n,
     tasks.reserve(pending.size());
     for (const int i : pending) {
       tasks.emplace_back([this, &fn, &acc, &chaos, &name, &stage_trace,
-                          stage_attempt, overhead, profile, round, i] {
+                          stage_attempt, overhead, round, i] {
         EngineMetrics::ScopedStageAccumulator scope(&acc);
-        prof::ScopedThreadProfile profile_scope(profile);
+        prof::ScopedThreadProfile profile_scope(&profile_);
         // Per-task trace context: the Put/Fetch RPCs this task issues
         // parent under the task's span id.
         TraceContext task_trace = stage_trace;
@@ -263,10 +255,9 @@ void Context::RunPlanned(const std::vector<internal::NodeBase*>& roots,
   internal::ScopedJobId job(job_id);
   // Job-root trace span: trace_id is the job id (unique per context), so
   // every stage, task, client RPC and daemon serve span of this job
-  // shares one trace. Untouched when tracing is off or the caller already
-  // bound a context.
+  // shares one trace. Untouched when the caller already bound a context.
   TraceContext job_trace = trace::Current();
-  if (trace_spans_.enabled() && job_trace.trace_id == 0) {
+  if (job_trace.trace_id == 0) {
     job_trace.trace_id = job_id;
     job_trace.span_id = trace_spans_.NextSpanId();
   }
@@ -279,7 +270,7 @@ void Context::RunPlanned(const std::vector<internal::NodeBase*>& roots,
     // skipped; only lost ones re-run from lineage.
     PhysicalPlan plan = scheduler_.BuildPlan(roots, action);
     try {
-      scheduler_.MaterializeShuffles(plan, serial_shuffle_materialization());
+      scheduler_.MaterializeShuffles(plan);
       if (result_stage) result_stage(attempt);
       break;
     } catch (const ShuffleBlockLostError& e) {

@@ -79,9 +79,9 @@ struct NodeProfileSnapshot {
 /// Per-context profiling state: the array-layer hooks that charge chunk
 /// and mask structure to the running operator's NodeProfile, plus a
 /// bounded ring of counter-track samples (cache pressure, shuffle volume,
-/// shuffle concurrency over time) merged into DumpTrace. Population is
-/// gated by Context::set_profiling_enabled — when off, the thread-local
-/// hook pointer stays null and every hook is a single branch.
+/// shuffle concurrency over time) merged into DumpTrace. RunStage binds
+/// it to every task thread; off a task thread the thread-local hook
+/// pointer is null and every hook is a single branch.
 class RuntimeProfile {
  public:
   explicit RuntimeProfile(EngineMetrics* metrics) : metrics_(metrics) {}
@@ -295,8 +295,7 @@ struct AnalyzedPlan {
 /// Measurement session behind ExplainAnalyze: captures the lineage tree,
 /// each node's actuals and a metric registry snapshot before the action
 /// executes, then diffs after it — so an ExplainAnalyze on a
-/// shared/cached lineage reports only this query's execution. Forces
-/// profiling on for the duration.
+/// shared/cached lineage reports only this query's execution.
 class ProfiledRun {
  public:
   ProfiledRun(Context* ctx, const std::vector<internal::NodeBase*>& roots,
@@ -311,7 +310,6 @@ class ProfiledRun {
   std::string action_;
   std::vector<AnalyzedNode> nodes_;  // actuals hold the starting values
   std::vector<const NodeProfile*> profiles_;  // parallel to nodes_
-  bool prev_enabled_ = true;
   uint64_t start_us_ = 0;
   uint64_t first_stage_seq_ = 0;  // stages from this seq on ran in the run
   MetricSnapshot start_metrics_;

@@ -91,9 +91,8 @@ class Scheduler {
                          const std::string& action) const;
 
   /// Runs every pending shuffle stage of `plan` in dependency order;
-  /// stages not ordered relative to each other run concurrently unless
-  /// `serial` is set (the ablation baseline).
-  void MaterializeShuffles(const PhysicalPlan& plan, bool serial) const;
+  /// stages not ordered relative to each other run concurrently.
+  void MaterializeShuffles(const PhysicalPlan& plan) const;
 
  private:
   Context* ctx_;

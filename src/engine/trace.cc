@@ -23,7 +23,6 @@ ScopedContext::~ScopedContext() { tl_trace_ctx = prev_; }
 }  // namespace trace
 
 void SpanRecorder::Record(TraceSpan span) {
-  if (!enabled()) return;
   MutexLock lock(&mu_);
   if (ring_.size() >= capacity_) {
     ring_.pop_front();

@@ -81,8 +81,7 @@ class SpanRecorder {
 
   static constexpr size_t kDefaultCapacity = 8192;
 
-  /// No-op when disabled (the tracing on/off switch for overhead
-  /// ablation) — span ids already minted are simply discarded.
+  /// Appends `span`, dropping the oldest once the ring is full.
   void Record(TraceSpan span) EXCLUDES(mu_);
 
   /// Removes and returns every recorded span (oldest first).
@@ -97,14 +96,10 @@ class SpanRecorder {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
  private:
   const size_t capacity_;
   std::atomic<uint64_t> next_span_id_;
   std::atomic<uint64_t> dropped_{0};
-  std::atomic<bool> enabled_{true};
   // Innermost lock: Record() is called from task bodies and from daemon
   // RPC handler threads; nothing is acquired under it.
   mutable Mutex mu_{LockRank::kLeaf};

@@ -45,11 +45,6 @@ struct DistributedOptions {
 
   /// How long to wait for a spawned daemon to announce its port.
   int spawn_timeout_ms = 15000;
-
-  /// Record serve-side spans on the daemons (passed through as the
-  /// --tracing flag). Off disables daemon span recording entirely — the
-  /// tracing-overhead ablation's control arm.
-  bool tracing = true;
 };
 
 struct DeploymentOptions {

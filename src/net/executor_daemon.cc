@@ -52,9 +52,7 @@ ExecutorDaemon::ExecutorDaemon(const ExecutorDaemonOptions& options)
       // they never collide with the driver's (base 0) within a trace.
       spans_(SpanRecorder::kDefaultCapacity,
              (static_cast<uint64_t>(options.executor_id) + 1) << 48),
-      start_time_(std::chrono::steady_clock::now()) {
-  spans_.set_enabled(options.tracing);
-}
+      start_time_(std::chrono::steady_clock::now()) {}
 
 ExecutorDaemon::~ExecutorDaemon() { Stop(); }
 

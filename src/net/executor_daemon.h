@@ -20,7 +20,6 @@ struct ExecutorDaemonOptions {
   uint16_t port = 0;  // 0 = ephemeral; port() reports the bound port
   int executor_id = 0;
   uint64_t memory_budget_bytes = 0;  // 0 = unlimited
-  bool tracing = true;  // record serve-side spans for traced requests
 };
 
 /// One executor's serving side: a BlockManager shard behind the RPC

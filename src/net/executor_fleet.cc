@@ -93,7 +93,7 @@ uint64_t ExecutorFleet::NowUs() const {
 }
 
 uint64_t ExecutorFleet::StampTrace(TraceHeader* trace) {
-  if (spans_ != nullptr && spans_->enabled()) {
+  if (spans_ != nullptr) {
     TraceContext tc = trace::Current();
     if (tc.trace_id == 0) {
       // Threads that bind a job id but no trace context (e.g. shuffle
@@ -211,7 +211,6 @@ Status ExecutorFleet::SpawnLocked(int w) {
       "--port=0",
       "--executor-id=" + std::to_string(w),
       "--memory-budget=" + std::to_string(options_.executor_memory_budget),
-      std::string("--tracing=") + (options_.tracing ? "1" : "0"),
   };
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);

@@ -154,8 +154,8 @@ class ExecutorFleet {
   uint64_t NowUs() const;
 
   /// Stamps the calling thread's TraceContext into `trace` with a fresh
-  /// client span id; leaves it all-zero when tracing is off or the
-  /// thread is untraced. Returns the stamp time (NowUs()).
+  /// client span id; leaves it all-zero when the fleet has no span
+  /// recorder or the thread is untraced. Returns the stamp time (NowUs()).
   uint64_t StampTrace(TraceHeader* trace);
 
   /// Records the driver-side client span for a stamped request (no-op on

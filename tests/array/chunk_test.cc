@@ -140,6 +140,21 @@ INSTANTIATE_TEST_SUITE_P(Modes, ChunkModeTest,
                                            ChunkMode::kSparse,
                                            ChunkMode::kSuperSparse));
 
+TEST(ChunkTest, RepeatedOffsetKeepsLastValueInEveryMode) {
+  using Cells = std::vector<std::pair<uint32_t, double>>;
+  const Cells sorted = {{3, 1.0}, {3, 2.0}, {5, 7.0}};
+  const Cells unsorted = {{5, 7.0}, {3, 1.0}, {3, 2.0}};
+  for (const ChunkMode mode :
+       {ChunkMode::kDense, ChunkMode::kSparse, ChunkMode::kSuperSparse}) {
+    for (const Cells& cells : {sorted, unsorted}) {
+      const Chunk c = Chunk::FromCells(128, cells, mode);
+      EXPECT_EQ(c.num_valid(), 2u) << ChunkModeName(mode);
+      EXPECT_EQ(c.Value(3), 2.0) << ChunkModeName(mode);
+      EXPECT_EQ(c.Value(5), 7.0) << ChunkModeName(mode);
+    }
+  }
+}
+
 TEST(ChunkTest, DenseMutation) {
   Chunk c = Chunk::MakeDense(100);
   EXPECT_EQ(c.num_valid(), 0u);

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -170,24 +171,25 @@ TEST(SchedulerExecTest, IndependentShufflesMaterializeConcurrently) {
   EXPECT_EQ(records.size(), 2u);
 }
 
-TEST(SchedulerExecTest, SerialModeMatchesConcurrentResults) {
-  auto sum_by_key = [](Context* ctx, bool serial) {
-    ctx->set_serial_shuffle_materialization(serial);
-    auto p = std::make_shared<HashPartitioner<uint64_t>>(3);
-    auto a = ToPair(ctx->Parallelize(MakePairs(60), 4))
-                 .ReduceByKey([](int x, int y) { return x + y; }, p);
-    auto b = ToPair(ctx->Parallelize(MakePairs(60), 4))
-                 .ReduceByKey([](int x, int y) { return x + y; }, p);
-    auto joined = a.Join(b);
-    auto records = joined.AsRdd().Collect();
-    std::sort(records.begin(), records.end());
-    return records;
-  };
-  Context serial_ctx(4), concurrent_ctx(4);
-  auto serial = sum_by_key(&serial_ctx, true);
-  auto concurrent = sum_by_key(&concurrent_ctx, false);
-  EXPECT_EQ(serial, concurrent);
-  EXPECT_EQ(serial_ctx.metrics().peak_concurrent_shuffles.load(), 1u);
+TEST(SchedulerExecTest, ConcurrentJoinMatchesReferenceJoin) {
+  Context ctx(4);
+  auto p = std::make_shared<HashPartitioner<uint64_t>>(3);
+  auto a = ToPair(ctx.Parallelize(MakePairs(60), 4))
+               .ReduceByKey([](int x, int y) { return x + y; }, p);
+  auto b = ToPair(ctx.Parallelize(MakePairs(45), 4))
+               .ReduceByKey([](int x, int y) { return x + y; }, p);
+  auto records = a.Join(b).AsRdd().Collect();
+  std::sort(records.begin(), records.end());
+
+  std::map<uint64_t, int> sum_a, sum_b;
+  for (const KV& kv : MakePairs(60)) sum_a[kv.first] += kv.second;
+  for (const KV& kv : MakePairs(45)) sum_b[kv.first] += kv.second;
+  std::vector<std::pair<uint64_t, std::pair<int, int>>> expected;
+  for (const auto& [key, sa] : sum_a) {
+    const auto it = sum_b.find(key);
+    if (it != sum_b.end()) expected.push_back({key, {sa, it->second}});
+  }
+  EXPECT_EQ(records, expected);
 }
 
 TEST(SchedulerExecTest, ActionsCountAsJobs) {

@@ -70,6 +70,9 @@ TEST_F(RpcLoopbackTest, PutFetchProbeRoundTrip) {
   ASSERT_TRUE(fetch_resp.ok());
   EXPECT_TRUE(fetch_resp->found);
   EXPECT_EQ(fetch_resp->bytes, put.bytes);
+  // Every request carried the default all-zero (untraced) header, so the
+  // daemon recorded no serve span.
+  EXPECT_TRUE(daemon_->spans().Snapshot().empty());
 }
 
 TEST_F(RpcLoopbackTest, FetchMissingBlockReportsNotFound) {

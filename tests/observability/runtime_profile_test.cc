@@ -99,28 +99,6 @@ TEST(RuntimeProfileTest, ShuffleQueryCountsShuffleStages) {
   EXPECT_GE(plan.metrics.Value("stages_run"), 2u);  // shuffle, then collect
 }
 
-TEST(RuntimeProfileTest, DisablingProfilingStopsAccumulation) {
-  Context ctx(2);
-  auto rdd = ctx.Parallelize(std::vector<int>(20, 1), 2);
-  ctx.set_profiling_enabled(false);
-  rdd.Count();
-  EXPECT_EQ(rdd.node()->profile().Snapshot().invocations, 0u);
-  ctx.set_profiling_enabled(true);
-  rdd.Count();
-  EXPECT_EQ(rdd.node()->profile().Snapshot().invocations, 2u);
-}
-
-TEST(RuntimeProfileTest, ExplainAnalyzeForcesProfilingOnAndRestores) {
-  Context ctx(2);
-  auto rdd = ctx.Parallelize(std::vector<int>(20, 1), 2);
-  ctx.set_profiling_enabled(false);
-  AnalyzedPlan plan = rdd.ExplainAnalyzePlan("count");
-  const AnalyzedNode* source = plan.Find("source");
-  ASSERT_NE(source, nullptr);
-  EXPECT_EQ(source->actuals.rows_out, 20u) << "analyze must profile";
-  EXPECT_FALSE(ctx.profiling_enabled()) << "prior setting restored";
-}
-
 TEST(RuntimeProfileTest, CounterSamplesAccumulateDuringRuns) {
   Context ctx(2);
   auto rdd = ctx.Parallelize(std::vector<int>(20, 1), 4);

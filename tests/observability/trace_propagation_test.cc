@@ -107,16 +107,6 @@ TEST(SpanRecorderTest, BoundedRingDropsOldestAndCounts) {
   EXPECT_EQ(rec.dropped(), 6u);
 }
 
-TEST(SpanRecorderTest, DisabledRecorderRecordsNothing) {
-  SpanRecorder rec;
-  rec.set_enabled(false);
-  TraceSpan s;
-  s.trace_id = 1;
-  rec.Record(std::move(s));
-  EXPECT_TRUE(rec.Snapshot().empty());
-  EXPECT_EQ(rec.dropped(), 0u);
-}
-
 TEST(SpanRecorderTest, IdBasePartitionsSpanIdSpace) {
   // Driver base 0, daemon N base (N+1)<<48: ids can never collide.
   SpanRecorder driver;
@@ -238,18 +228,6 @@ TEST(TracePropagationTest, PutBlockSpansParentUnderReduceTaskSpans) {
     EXPECT_EQ(it->second, "reduceByKey/reduce");
   }
   EXPECT_GT(puts, 0u);
-}
-
-TEST(TracePropagationTest, TracingOffRecordsNoSpans) {
-  DeploymentOptions d = Distributed(2);
-  d.distributed.tracing = false;
-  Context ctx(2, 4, 0, {}, d);
-  EXPECT_FALSE(ctx.tracing_enabled());
-  RunShuffleJob(&ctx);
-  const std::string trace = DumpTraceToString(ctx);
-  EXPECT_TRUE(LinesContaining(trace, "\"cat\":\"rpc\"").empty());
-  EXPECT_TRUE(ctx.trace_spans().Snapshot().empty());
-  EXPECT_TRUE(ctx.fleet()->CollectedSpans().empty());
 }
 
 TEST(TracePropagationTest, KilledDaemonsDrainedSpansSurviveInTrace) {

@@ -36,12 +36,10 @@ int main(int argc, char** argv) {
       options.executor_id = static_cast<int>(std::strtol(value, nullptr, 10));
     } else if (ParseFlag(argv[i], "--memory-budget", &value)) {
       options.memory_budget_bytes = std::strtoull(value, nullptr, 10);
-    } else if (ParseFlag(argv[i], "--tracing", &value)) {
-      options.tracing = std::strtol(value, nullptr, 10) != 0;
     } else {
       std::fprintf(stderr,
                    "usage: spangle_executord [--port=N] [--executor-id=N] "
-                   "[--memory-budget=BYTES] [--tracing=0|1]\n");
+                   "[--memory-budget=BYTES]\n");
       return 2;
     }
   }
