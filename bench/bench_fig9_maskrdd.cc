@@ -73,8 +73,7 @@ int main() {
     q.lo = {0, 32, 32};
     q.hi = {7, 448, 448};
     q.use_range = true;
-    q.attr = "u";
-    q.attr2 = bands > 1 ? "g" : "u";
+    if (bands == 1) q.attr2 = q.attr;
     q.grid = {1, 8, 8};
     q.min_count = 2;
 

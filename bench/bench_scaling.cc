@@ -25,8 +25,6 @@ QueryParams Params(uint64_t images) {
   q.lo = {0, 32, 32};
   q.hi = {static_cast<int64_t>(images) - 1, 448, 448};
   q.use_range = true;
-  q.attr = "u";
-  q.attr2 = "g";
   q.threshold = 0.5;
   q.threshold2 = 0.8;
   q.grid = {1, 8, 8};

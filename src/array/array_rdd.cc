@@ -29,13 +29,13 @@ using SliceGrouper =
 
 /// The eager ingest of Sec. III-A on the pool. Stage 1 splits the `n`
 /// input items into contiguous slices and groups each into runs. The
-/// driver orders the chunks by first sight, slice after slice (so in input
-/// order), and fills an unordered_map in that order: its iteration order
-/// places the records, as the grouping map of a serial ingest would.
-/// Stage 2 builds every chunk from its runs concatenated in slice order,
-/// so it sees its cells in input order. Tasks only read shared state and
-/// write their own slots, so a retried task redoes the same work. A stage
-/// whose task exhausts its retries returns Internal instead of throwing.
+/// driver groups the runs by chunk, slice after slice, so chunks come in
+/// the order their first cell has in the input. Stage 2 builds every
+/// chunk from its runs concatenated in slice order, so it sees its cells
+/// in input order, and the records keep the chunks' first-seen order.
+/// Tasks only read shared state and write their own slots, so a retried
+/// task redoes the same work. A stage whose task exhausts its retries
+/// returns Internal instead of throwing.
 Result<ArrayRdd> BuildFromSlices(Context* ctx, const ArrayMetadata& meta,
                                  size_t n, ModePolicy policy,
                                  int num_partitions,
@@ -62,34 +62,26 @@ Result<ArrayRdd> BuildFromSlices(Context* ctx, const ArrayMetadata& meta,
   for (const Status& st : errors) SPANGLE_RETURN_NOT_OK(st);
 
   // Chunk g (in first-seen order) is built from its runs, slice by slice.
-  std::unordered_map<ChunkId, size_t> order;
-  std::vector<std::vector<const CellRun*>> pieces;
+  internal::FirstSeenGroups<ChunkId, std::vector<const CellRun*>> grouped;
   for (const auto& slice : slices) {
-    for (const auto& [id, run] : slice) {
-      const auto [it, fresh] = order.try_emplace(id, pieces.size());
-      if (fresh) pieces.emplace_back();
-      pieces[it->second].push_back(&run);
-    }
+    for (const auto& [id, run] : slice) grouped[id].push_back(&run);
   }
+  const auto pieces = grouped.Take();
   const uint32_t cpc = Mapper(meta).cells_per_chunk();
-  std::vector<Chunk> chunks(pieces.size());
+  std::vector<std::pair<ChunkId, Chunk>> records(pieces.size());
   SPANGLE_RETURN_NOT_OK(run_stage("ingest/build", [&](int t) {
     const auto task = static_cast<size_t>(t);
-    for (size_t g = chunks.size() * task / num_slices;
-         g < chunks.size() * (task + 1) / num_slices; ++g) {
+    for (size_t g = records.size() * task / num_slices;
+         g < records.size() * (task + 1) / num_slices; ++g) {
       CellRun cells;
-      for (const CellRun* run : pieces[g]) {
+      for (const CellRun* run : pieces[g].second) {
         cells.insert(cells.end(), run->begin(), run->end());
       }
       const ChunkMode mode = ModeFor(policy, cpc, cells.size());
-      chunks[g] = Chunk::FromCells(cpc, std::move(cells), mode);
+      records[g] = {pieces[g].first,
+                    Chunk::FromCells(cpc, std::move(cells), mode)};
     }
   }));
-  std::vector<std::pair<ChunkId, Chunk>> records;
-  records.reserve(order.size());
-  for (const auto& [id, g] : order) {
-    records.emplace_back(id, std::move(chunks[g]));
-  }
   if (num_partitions <= 0) num_partitions = ctx->default_parallelism();
   auto partitioner = std::make_shared<HashPartitioner<ChunkId>>(num_partitions);
   return ArrayRdd(meta, ctx->ParallelizePairs<ChunkId, Chunk>(
@@ -159,17 +151,13 @@ PairRdd<ChunkId, Chunk> GroupIntoChunks(
       std::pair<ChunkId, Chunk>>(
       [policy, num_cells](int,
                           const std::vector<std::pair<ChunkId, CellRun>>& in) {
-        // Chunks enter the map in the order their first run arrives, which
-        // is the order their first cell would: a per-cell GroupByKey's
-        // iteration order.
-        std::unordered_map<ChunkId, CellRun> groups;
+        internal::FirstSeenGroups<ChunkId, CellRun> groups;
         for (const auto& [id, run] : in) {
           CellRun& cells = groups[id];
           cells.insert(cells.end(), run.begin(), run.end());
         }
         std::vector<std::pair<ChunkId, Chunk>> out;
-        out.reserve(groups.size());
-        for (auto& [id, cells] : groups) {
+        for (auto& [id, cells] : groups.Take()) {
           const ChunkMode mode = ModeFor(policy, num_cells, cells.size());
           out.emplace_back(
               id, Chunk::FromCells(num_cells, std::move(cells), mode));
@@ -285,28 +273,16 @@ std::vector<CellValue> ArrayRdd::CollectCells() const {
 
 namespace internal {
 
-void ChunkRuns::Switch(ChunkId id) {
-  const auto [it, fresh] =
-      index_.try_emplace(id, static_cast<uint32_t>(ids_.size()));
-  if (fresh) {
-    ids_.push_back(id);
-    sizes_.push_back(0);
-  }
-  last_ = it->second;
-}
-
 std::vector<std::pair<ChunkId, CellRun>> ChunkRuns::Take() {
-  std::vector<std::pair<ChunkId, CellRun>> runs(ids_.size());
+  auto sizes = sizes_.Take();
+  std::vector<std::pair<ChunkId, CellRun>> runs(sizes.size());
   for (size_t r = 0; r < runs.size(); ++r) {
-    runs[r].first = ids_[r];
-    runs[r].second.reserve(sizes_[r]);
+    runs[r].first = sizes[r].first;
+    runs[r].second.reserve(sizes[r].second);
   }
   for (const Logged& cell : log_) {
     runs[cell.run].second.emplace_back(cell.offset, cell.value);
   }
-  index_.clear();
-  ids_.clear();
-  sizes_.clear();
   log_.clear();
   return runs;
 }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "array/metadata.h"
 #include "common/result.h"
 #include "engine/engine.h"
+#include "engine/first_seen_groups.h"
 
 namespace spangle {
 
@@ -143,9 +143,9 @@ class ArrayRdd {
 /// Chunks of `num_cells` cells built from runs: one shuffle on `p`
 /// (default: hash) moves the runs, which callers group with ChunkRuns into
 /// one per (map partition, target chunk); then each chunk is built from its
-/// runs concatenated in arrival order, in the mode `policy` picks. A reduce partition lists its chunks in the
-/// order a per-cell GroupByKey would, so the chunks and their record order
-/// match a per-cell grouping bit for bit.
+/// runs concatenated in arrival order, in the mode `policy` picks. A reduce
+/// partition lists its chunks in first-seen order: as their first run
+/// arrives, reading the map partitions from 0 to n-1.
 PairRdd<ChunkId, Chunk> GroupIntoChunks(
     Rdd<std::pair<ChunkId, CellRun>> runs, uint32_t num_cells,
     ModePolicy policy = ModePolicy::Auto(),
@@ -163,9 +163,11 @@ namespace internal {
 class ChunkRuns {
  public:
   void Add(ChunkId id, uint32_t offset, double value) {
-    if (ids_.empty() || ids_[last_] != id) Switch(id);
+    if (sizes_.empty() || sizes_.key(last_) != id) {
+      last_ = static_cast<uint32_t>(sizes_.Slot(id));
+    }
     log_.push_back(Logged{last_, offset, value});
-    ++sizes_[last_];
+    ++sizes_.group(last_);
   }
 
   /// The runs, in first-seen order; leaves the builder empty. A chunk
@@ -179,12 +181,8 @@ class ChunkRuns {
     double value;
   };
 
-  void Switch(ChunkId id);
-
-  std::unordered_map<ChunkId, uint32_t> index_;
-  std::vector<ChunkId> ids_;     // per run, first-seen order
-  std::vector<size_t> sizes_;    // cells per run
-  std::vector<Logged> log_;      // every cell, in Add order
+  FirstSeenGroups<ChunkId, size_t> sizes_;  // cells per run
+  std::vector<Logged> log_;                  // every cell, in Add order
   uint32_t last_ = 0;
 };
 

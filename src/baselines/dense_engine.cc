@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <map>
-#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "engine/first_seen_groups.h"
 
 namespace spangle {
 
@@ -102,7 +105,7 @@ Result<uint64_t> SciSparkEngine::Q2Regrid(const QueryParams& q) {
   // Per-frame regrid, then a shuffle merges partial blocks across the
   // time axis.
   auto partials = frames_.FlatMap([band, h, w, q, grid](const Frame& f) {
-    std::unordered_map<uint64_t, std::pair<double, uint64_t>> acc;
+    internal::FirstSeenGroups<uint64_t, std::pair<double, uint64_t>> acc;
     for (uint64_t x = 0; x < w; ++x) {
       for (uint64_t y = 0; y < h; ++y) {
         const double v = f.bands[band][x * h + y];
@@ -122,9 +125,7 @@ Result<uint64_t> SciSparkEngine::Q2Regrid(const QueryParams& q) {
         slot.second += 1;
       }
     }
-    std::vector<std::pair<uint64_t, std::pair<double, uint64_t>>> out(
-        acc.begin(), acc.end());
-    return out;
+    return acc.Take();
   });
   auto merged =
       ToPair<uint64_t, std::pair<double, uint64_t>>(std::move(partials))
@@ -203,7 +204,7 @@ Result<uint64_t> SciSparkEngine::Q5Density(const QueryParams& q) {
   const uint64_t h = height_, w = width_;
   const auto grid = q.grid;
   auto partials = frames_.FlatMap([band, h, w, q, grid](const Frame& f) {
-    std::unordered_map<uint64_t, uint64_t> acc;
+    internal::FirstSeenGroups<uint64_t, uint64_t> acc;
     for (uint64_t x = 0; x < w; ++x) {
       for (uint64_t y = 0; y < h; ++y) {
         const double v = f.bands[band][x * h + y];
@@ -218,8 +219,7 @@ Result<uint64_t> SciSparkEngine::Q5Density(const QueryParams& q) {
         acc[(gi * (w / grid[1] + 1) + gxx) * (h / grid[2] + 1) + gyy] += 1;
       }
     }
-    std::vector<std::pair<uint64_t, uint64_t>> out(acc.begin(), acc.end());
-    return out;
+    return acc.Take();
   });
   auto merged = ToPair<uint64_t, uint64_t>(std::move(partials))
                     .ReduceByKey([](const uint64_t& a, const uint64_t& b) {

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <unordered_map>
 
+#include "engine/first_seen_groups.h"
+
 namespace spangle {
 
 std::string UniqueDiskFileTag() {
@@ -103,7 +105,7 @@ Result<uint64_t> SciDbEngine::GroupToDiskAndCount(
     size_t attr, const QueryParams& q,
     const std::function<bool(double, uint64_t)>& keep) const {
   // Operator 1: scan + group, accumulating (sum, count) per block.
-  std::unordered_map<uint64_t, std::pair<double, uint64_t>> groups;
+  internal::FirstSeenGroups<uint64_t, std::pair<double, uint64_t>> groups;
   SPANGLE_RETURN_NOT_OK(ScanAttr(attr, q, [&](const DiskCell& dc) {
     const uint64_t key =
         ((static_cast<uint64_t>(dc.pos[0]) / q.grid[0]) * 1000003 +
@@ -121,7 +123,7 @@ Result<uint64_t> SciDbEngine::GroupToDiskAndCount(
   {
     std::ofstream out(tmp, std::ios::binary);
     if (!out) return Status::IOError("cannot create " + tmp);
-    for (const auto& [key, slot] : groups) {
+    for (const auto& [key, slot] : groups.Take()) {
       out.write(reinterpret_cast<const char*>(&key), sizeof(key));
       out.write(reinterpret_cast<const char*>(&slot), sizeof(slot));
     }

@@ -1,11 +1,12 @@
 #include "baselines/matrix_engines.h"
 
 #include <algorithm>
-
-#include "baselines/diskdb.h"
 #include <cstdio>
 #include <fstream>
 #include <unordered_map>
+
+#include "baselines/diskdb.h"
+#include "engine/first_seen_groups.h"
 
 namespace spangle {
 
@@ -152,19 +153,20 @@ Result<std::unique_ptr<MllibMatrixEngine>> MllibMatrixEngine::Load(
   engine->rows_ = m.rows;
   engine->cols_ = m.cols;
   engine->budget_ = budget;
-  std::unordered_map<uint64_t, SparseRow> rows;
+  internal::FirstSeenGroups<uint64_t, SparseRow> rows;
   for (const auto& e : m.entries) {
     auto& row = rows[e.row];
     row.row = e.row;
     row.cols.push_back(static_cast<uint32_t>(e.col));
     row.values.push_back(e.value);
   }
+  auto grouped = rows.Take();
   SPANGLE_RETURN_NOT_OK(budget.Reserve(m.entries.size() * 12 +
-                                           rows.size() * sizeof(SparseRow),
+                                           grouped.size() * sizeof(SparseRow),
                                        "sparse rows"));
   std::vector<SparseRow> flat;
-  flat.reserve(rows.size());
-  for (auto& [r, row] : rows) flat.push_back(std::move(row));
+  flat.reserve(grouped.size());
+  for (auto& [r, row] : grouped) flat.push_back(std::move(row));
   engine->rows_rdd_ = ctx->Parallelize(std::move(flat));
   engine->rows_rdd_.Cache();
   return engine;
@@ -364,7 +366,7 @@ Result<std::vector<double>> SciDbMatrixEngine::VtM(
 Result<uint64_t> SciDbMatrixEngine::MtM() {
   // Disk-based: re-scan the matrix once per row group, spilling partial
   // products to a temp file between the two passes.
-  std::unordered_map<uint64_t, std::vector<std::pair<uint64_t, double>>>
+  internal::FirstSeenGroups<uint64_t, std::vector<std::pair<uint64_t, double>>>
       by_row;
   SPANGLE_RETURN_NOT_OK(Scan([&](const DiskEntry& e) {
     by_row[e.row].emplace_back(e.col, e.value);
@@ -374,7 +376,7 @@ Result<uint64_t> SciDbMatrixEngine::MtM() {
   {
     std::ofstream out(tmp, std::ios::binary);
     if (!out) return Status::IOError("cannot create " + tmp);
-    for (const auto& [r, cells] : by_row) {
+    for (const auto& [r, cells] : by_row.Take()) {
       for (const auto& [ci, vi] : cells) {
         for (const auto& [cj, vj] : cells) {
           DiskEntry de{ci, cj, vi * vj};

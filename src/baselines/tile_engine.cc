@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <map>
-#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "engine/first_seen_groups.h"
 
 namespace spangle {
 
@@ -193,7 +196,7 @@ Result<uint64_t> RasterFramesEngine::Q5Density(const QueryParams& q) {
   // Tiles rarely align with the Q5 grouping grid, so partial counts
   // shuffle and merge.
   auto partials = tiles_.FlatMap([band, q, grid](const Tile& t) {
-    std::unordered_map<uint64_t, uint64_t> acc;
+    internal::FirstSeenGroups<uint64_t, uint64_t> acc;
     for (uint32_t dx = 0; dx < t.edge; ++dx) {
       for (uint32_t dy = 0; dy < t.edge; ++dy) {
         const double v = t.bands[band][dx * t.edge + dy];
@@ -208,8 +211,7 @@ Result<uint64_t> RasterFramesEngine::Q5Density(const QueryParams& q) {
         acc[key] += 1;
       }
     }
-    std::vector<std::pair<uint64_t, uint64_t>> out(acc.begin(), acc.end());
-    return out;
+    return acc.Take();
   });
   auto merged = ToPair<uint64_t, uint64_t>(std::move(partials))
                     .ReduceByKey([](const uint64_t& a, const uint64_t& b) {

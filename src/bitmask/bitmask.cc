@@ -62,17 +62,6 @@ void Bitmask::ClearRange(size_t begin, size_t end) {
   milestones_.clear();
 }
 
-void Bitmask::SetAll() {
-  std::fill(words_.begin(), words_.end(), ~uint64_t{0});
-  MaskTailBits();
-  milestones_.clear();
-}
-
-void Bitmask::ClearAll() {
-  std::fill(words_.begin(), words_.end(), 0);
-  milestones_.clear();
-}
-
 uint64_t Bitmask::CountAll(PopcountKernel kernel) const {
   return CountWords(words_.data(), words_.size(), kernel);
 }

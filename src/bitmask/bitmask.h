@@ -54,16 +54,11 @@ class Bitmask {
     words_[i / kBitsPerWord] &= ~(uint64_t{1} << (i % kBitsPerWord));
     milestones_.clear();
   }
-  void Assign(size_t i, bool v) { v ? Set(i) : Clear(i); }
 
   /// Sets bits [begin, end).
   void SetRange(size_t begin, size_t end);
   /// Clears bits [begin, end).
   void ClearRange(size_t begin, size_t end);
-  /// Sets every bit.
-  void SetAll();
-  /// Clears every bit.
-  void ClearAll();
 
   /// Total number of set bits (population count of the whole mask).
   uint64_t CountAll(PopcountKernel kernel = PopcountKernel::kAuto) const;

@@ -132,11 +132,6 @@ class BlockManager {
   /// executor-local disk alike.
   void FailExecutor(int worker) EXCLUDES(mu_);
 
-  /// The simulated placement: partition i lives on worker i % workers.
-  int ExecutorOf(const BlockId& id) const {
-    return id.partition % num_workers_;
-  }
-
   uint64_t memory_budget() const { return budget_; }
   uint64_t bytes_in_memory() const EXCLUDES(mu_);
   size_t num_resident_blocks() const EXCLUDES(mu_);

@@ -26,6 +26,7 @@
 #include "engine/block_manager.h"
 #include "engine/executor_pool.h"
 #include "engine/fault.h"
+#include "engine/first_seen_groups.h"
 #include "engine/metrics.h"
 #include "engine/partitioner.h"
 #include "engine/runtime_profile.h"
@@ -536,40 +537,6 @@ class ZipPartitionsNode final : public Node<Out> {
   Fn fn_;
 };
 
-/// Narrow partition-count reduction: output partition i concatenates a
-/// contiguous range of parent partitions (Spark's coalesce without
-/// shuffle).
-template <typename T>
-class CoalesceNode final : public Node<T> {
- public:
-  CoalesceNode(Context* ctx, std::shared_ptr<Node<T>> parent, int target)
-      : Node<T>(ctx, "coalesce"),
-        parent_(std::move(parent)),
-        target_(std::min(target, parent_->num_partitions())) {
-    SPANGLE_CHECK_GE(target, 1);
-  }
-
-  int num_partitions() const override { return target_; }
-  std::vector<NodeBase*> Parents() const override { return {parent_.get()}; }
-
- protected:
-  std::vector<T> ComputePartition(int i) override {
-    const int n = parent_->num_partitions();
-    const int begin = n * i / target_;
-    const int end = n * (i + 1) / target_;
-    std::vector<T> out;
-    for (int p = begin; p < end; ++p) {
-      auto part = parent_->GetPartition(p);
-      out.insert(out.end(), part->begin(), part->end());
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  int target_;
-};
-
 /// Concatenation of two RDDs' partition lists (narrow).
 template <typename T>
 class UnionNode final : public Node<T> {
@@ -603,6 +570,9 @@ class UnionNode final : public Node<T> {
 /// runs the map side as one parallel stage, buckets records, and accounts
 /// every moved byte in EngineMetrics — the quantity the paper's
 /// optimizations (local join, metadata transpose, MaskRDD) all attack.
+/// Output partition r reads its buckets from map partition 0 to n-1, each
+/// in record order: uncombined records keep that order, and combined keys
+/// come in the order they first appear in it.
 template <typename K, typename V>
 class ShuffleNode final : public Node<std::pair<K, V>> {
  public:
@@ -660,32 +630,26 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
     std::vector<std::vector<std::vector<Record>>> map_outputs(n_map);
     ctx->RunStage(this->name() + "/map", n_map, [&](int m) {
       auto in = parent_->GetPartition(m);
-      std::vector<Record> records;
-      if (combiner_) {
-        // Map-side combine, as Spark does for reduceByKey.
-        std::unordered_map<K, V> acc;
-        for (const auto& [k, v] : *in) {
-          auto it = acc.find(k);
-          if (it == acc.end()) {
-            acc.emplace(k, v);
-          } else {
-            it->second = combiner_(it->second, v);
-          }
-        }
-        records.reserve(acc.size());
-        for (auto& [k, v] : acc) records.emplace_back(k, std::move(v));
-      } else {
-        records = *in;
-      }
       auto& buckets = map_outputs[m];
       buckets.resize(n_out);
       uint64_t bytes = 0;
-      for (auto& rec : records) {
+      const auto place = [&](auto&& rec) {
         bytes += EstimateSize(rec);
         buckets[partitioner_->PartitionFor(rec.first)].push_back(
-            std::move(rec));
+            std::forward<decltype(rec)>(rec));
+      };
+      size_t records = in->size();
+      if (combiner_) {
+        // Map-side combine, as Spark does for reduceByKey.
+        FirstSeenGroups<K, V> acc;
+        for (const auto& [k, v] : *in) acc.Fold(k, v, combiner_);
+        std::vector<Record> combined = acc.Take();
+        records = combined.size();
+        for (Record& rec : combined) place(std::move(rec));
+      } else {
+        for (const Record& rec : *in) place(rec);
       }
-      ctx->metrics().AddShuffleRecords(records.size());
+      ctx->metrics().AddShuffleRecords(records);
       ctx->metrics().AddShuffleBytes(bytes);
     }, attempt);
     // Reduce side: task r merges its buckets (combining when requested)
@@ -702,20 +666,12 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
       }
       std::vector<Record> out;
       if (combiner_) {
-        std::unordered_map<K, V> acc;
+        FirstSeenGroups<K, V> acc;
         for (int m = 0; m < n_map; ++m) {
           std::vector<Record> bucket = std::move(map_outputs[m][r]);
-          for (auto& [k, v] : bucket) {
-            auto it = acc.find(k);
-            if (it == acc.end()) {
-              acc.emplace(k, std::move(v));
-            } else {
-              it->second = combiner_(it->second, v);
-            }
-          }
+          for (auto& [k, v] : bucket) acc.Fold(k, std::move(v), combiner_);
         }
-        out.reserve(acc.size());
-        for (auto& [k, v] : acc) out.emplace_back(k, std::move(v));
+        out = acc.Take();
       } else {
         size_t total = 0;
         for (int m = 0; m < n_map; ++m) total += map_outputs[m][r].size();
@@ -909,13 +865,6 @@ class Rdd {
   Rdd<T> Union(const Rdd<T>& other) const {
     return Rdd<T>(std::make_shared<internal::UnionNode<T>>(ctx(), node_,
                                                            other.node_ptr()));
-  }
-
-  /// Reduces the partition count without a shuffle: each output
-  /// partition concatenates a contiguous range of inputs.
-  Rdd<T> Coalesce(int num_partitions) const {
-    return Rdd<T>(std::make_shared<internal::CoalesceNode<T>>(
-        ctx(), node_, num_partitions));
   }
 
   /// Bernoulli sample: keeps each record with probability `fraction`.
@@ -1143,7 +1092,10 @@ class PairRdd {
     return PairRdd<K, V>(Rdd<Record>(node), p);
   }
 
-  /// Shuffle + combine values per key (map-side combine included).
+  /// Shuffle + combine values per key (map-side combine included). Each
+  /// output partition lists its keys in first-seen order: as they first
+  /// appear reading the map partitions from 0 to n-1, each in record
+  /// order; a key's values are combined in that order too.
   PairRdd<K, V> ReduceByKey(std::function<V(const V&, const V&)> fn,
                             std::shared_ptr<Partitioner<K>> p = nullptr) const {
     if (p == nullptr) p = DefaultPartitioner();
@@ -1152,7 +1104,9 @@ class PairRdd {
     return PairRdd<K, V>(Rdd<Record>(node), p);
   }
 
-  /// Shuffle + gather all values per key.
+  /// Shuffle + gather all values per key. Keys come in the order they
+  /// first appear in the placed partition (ReduceByKey's order, when a
+  /// shuffle places it), each with its values in that order.
   PairRdd<K, std::vector<V>> GroupByKey(
       std::shared_ptr<Partitioner<K>> p = nullptr) const {
     if (p == nullptr) p = DefaultPartitioner();
@@ -1160,12 +1114,9 @@ class PairRdd {
     auto grouped = placed.AsRdd().template MapPartitionsWithIndex<
         std::pair<K, std::vector<V>>>(
         [](int, const std::vector<Record>& in) {
-          std::unordered_map<K, std::vector<V>> groups;
+          internal::FirstSeenGroups<K, std::vector<V>> groups;
           for (const auto& [k, v] : in) groups[k].push_back(v);
-          std::vector<std::pair<K, std::vector<V>>> out;
-          out.reserve(groups.size());
-          for (auto& [k, vs] : groups) out.emplace_back(k, std::move(vs));
-          return out;
+          return groups.Take();
         },
         "groupByKey");
     return PairRdd<K, std::vector<V>>(std::move(grouped), p);
@@ -1200,7 +1151,8 @@ class PairRdd {
   }
 
   /// Full cogroup: for every key present on either side, the vectors of
-  /// values from both sides.
+  /// values from both sides. Keys come in the order they first appear in
+  /// the left partition, then in the right one.
   template <typename W>
   PairRdd<K, std::pair<std::vector<V>, std::vector<W>>> CoGroup(
       const PairRdd<K, W>& other) const {
@@ -1210,13 +1162,10 @@ class PairRdd {
         right.AsRdd(),
         [](int, const std::vector<Record>& a,
            const std::vector<std::pair<K, W>>& b) {
-          std::unordered_map<K, std::pair<std::vector<V>, std::vector<W>>> m;
-          for (const auto& [k, v] : a) m[k].first.push_back(v);
-          for (const auto& [k, w] : b) m[k].second.push_back(w);
-          std::vector<Out> out;
-          out.reserve(m.size());
-          for (auto& [k, vw] : m) out.emplace_back(k, std::move(vw));
-          return out;
+          internal::FirstSeenGroups<K, typename Out::second_type> groups;
+          for (const auto& [k, v] : a) groups[k].first.push_back(v);
+          for (const auto& [k, w] : b) groups[k].second.push_back(w);
+          return groups.Take();
         },
         "cogroup");
     return PairRdd<K, std::pair<std::vector<V>, std::vector<W>>>(

@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "engine/first_seen_groups.h"
 
 // Lock-free by construction: every reader here consumes either atomic
 // counters or a value snapshot (EngineMetrics::StageStats() copies the
@@ -232,25 +234,19 @@ std::string MetricsPrometheus(const EngineMetrics& metrics,
   // one family with an executor="N" series per daemon (the scrapes all
   // come from the same binary, but a family is emitted as long as at
   // least one daemon reported it).
-  std::vector<std::string> order;
   struct Pivot {
     uint8_t kind = 0;
     std::vector<std::pair<int, uint64_t>> series;
   };
-  std::unordered_map<std::string, Pivot> pivot;
+  internal::FirstSeenGroups<std::string, Pivot> pivot;
   for (const FleetExecutorStats& e : fleet) {
     for (size_t i = 0; i < e.metric_names.size(); ++i) {
-      auto it = pivot.find(e.metric_names[i]);
-      if (it == pivot.end()) {
-        order.push_back(e.metric_names[i]);
-        it = pivot.emplace(e.metric_names[i], Pivot{}).first;
-        it->second.kind = e.metric_kinds[i];
-      }
-      it->second.series.emplace_back(e.executor, e.metric_values[i]);
+      Pivot& p = pivot[e.metric_names[i]];
+      if (p.series.empty()) p.kind = e.metric_kinds[i];
+      p.series.emplace_back(e.executor, e.metric_values[i]);
     }
   }
-  for (const std::string& metric : order) {
-    const Pivot& p = pivot[metric];
+  for (const auto& [metric, p] : pivot.Take()) {
     const std::string name = prefix + "executor_daemon_" + metric;
     // Timers (and the flattened histogram _count/_sum pairs) export as
     // counters, matching the single-process exposition.

@@ -158,8 +158,7 @@ Result<BlockMatrix> BlockMatrix::FromEntries(
   out.scheme_ = scheme;
   const ArrayMetadata meta = MakeMeta(rows, cols, block);
   Mapper mapper(meta);
-  std::unordered_map<ChunkId, std::vector<std::pair<uint32_t, double>>>
-      grouped;
+  internal::ChunkRuns grouped;
   for (const auto& e : entries) {
     if (e.row >= rows || e.col >= cols) {
       return Status::OutOfRange("matrix entry outside bounds");
@@ -167,13 +166,12 @@ Result<BlockMatrix> BlockMatrix::FromEntries(
     if (e.value == 0.0) continue;  // zero entries are not stored
     const Coords pos{static_cast<int64_t>(e.row),
                      static_cast<int64_t>(e.col)};
-    grouped[mapper.ChunkIdFromCoords(pos)].emplace_back(
-        mapper.LocalOffset(pos), e.value);
+    grouped.Add(mapper.ChunkIdFromCoords(pos), mapper.LocalOffset(pos),
+                e.value);
   }
   const uint32_t cpt = mapper.cells_per_chunk();
   std::vector<std::pair<ChunkId, Chunk>> records;
-  records.reserve(grouped.size());
-  for (auto& [id, cells] : grouped) {
+  for (auto& [id, cells] : grouped.Take()) {
     const ChunkMode mode = policy.fixed.has_value()
                                ? *policy.fixed
                                : Chunk::ChooseMode(cpt, cells.size());

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 #include <numeric>
-#include <unordered_map>
 
+#include "engine/first_seen_groups.h"
 #include "matrix/matvec.h"
 #include "matrix/partition.h"
 
@@ -72,21 +71,18 @@ Result<MaskMatrix> MaskMatrix::FromEdges(
   const uint64_t nb = out.num_blocks_1d();
   const uint32_t cells = static_cast<uint32_t>(block * block);
   // Driver side: bucket the edges into one offset list per tile.
-  std::unordered_map<ChunkId, std::vector<uint32_t>> grouped;
+  internal::FirstSeenGroups<ChunkId, std::vector<uint32_t>> grouped;
   for (const auto& [dst, src] : edges) {
     if (dst >= n || src >= n) return Status::OutOfRange("edge out of range");
     grouped[dst / block + (src / block) * nb].push_back(
         static_cast<uint32_t>((dst % block) * block + src % block));
   }
-  std::vector<std::pair<ChunkId, std::vector<uint32_t>>> records(
-      std::make_move_iterator(grouped.begin()),
-      std::make_move_iterator(grouped.end()));
   if (num_partitions <= 0) num_partitions = ctx->default_parallelism();
   auto partitioner = std::make_shared<BlockPartitioner>(
       PartitionScheme::kByColBlock, nb, num_partitions);
   // Pool side: each task builds its tiles from the offset lists.
   out.tiles_ = ctx->ParallelizePairs<ChunkId, std::vector<uint32_t>>(
-                      std::move(records), std::move(partitioner))
+                      grouped.Take(), std::move(partitioner))
                    .MapValues([cells, force_hierarchical](
                                   const std::vector<uint32_t>& offsets) {
                      return TileFromOffsets(offsets, cells,

@@ -87,23 +87,21 @@ BlockVector MatVecCore(const PairRdd<ChunkId, Tile>& tiles, uint64_t nrb,
           "matVec"));
   auto reduced = partials.ReduceByKey(AddBlocks, vec_p);
   const uint64_t out_blocks = (out_size + block - 1) / block;
-  // Blocks leave in the iteration order of a hash map filled in ascending
-  // block order. A later per-partition sum (PageRank's dangling mass)
-  // adds them in this order, so PageRankTest.RanksArePinnedBitForBit
-  // pins it.
   auto filled = reduced.AsRdd().template MapPartitionsWithIndex<Block>(
       [vec_p, out_blocks, block_len](int idx, const std::vector<Block>& in) {
-        std::unordered_map<uint64_t, VecBlock> by_block;
+        std::vector<Block> out;  // this partition's blocks, ascending
         for (uint64_t b = 0; b < out_blocks; ++b) {
           if (vec_p->PartitionFor(b) == idx) {
-            by_block[b].values.assign(block_len(b), 0.0);
+            out.emplace_back(b, VecBlock{std::vector<double>(block_len(b))});
           }
         }
         for (const auto& [b, sum] : in) {
-          by_block[b] = AddBlocks(by_block[b], sum);
+          auto it = std::lower_bound(
+              out.begin(), out.end(), b,
+              [](const Block& x, uint64_t key) { return x.first < key; });
+          it->second = AddBlocks(it->second, sum);
         }
-        return std::vector<Block>(std::make_move_iterator(by_block.begin()),
-                                  std::make_move_iterator(by_block.end()));
+        return out;
       },
       "zeroFill");
   return BlockVector::FromBlocks(

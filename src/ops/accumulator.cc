@@ -3,6 +3,10 @@
 #include <limits>
 #include <map>
 #include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "engine/first_seen_groups.h"
 
 namespace spangle {
 
@@ -16,7 +20,8 @@ struct LineCell {
 /// A chunk's valid cells grouped into lines along `axis`, each in axis
 /// order. A line's key is the row-major index of its cells in the array
 /// with the axis dropped, so every chunk along the axis agrees on it.
-std::unordered_map<uint64_t, std::vector<LineCell>> ChunkLines(
+/// Lines come in first-seen order.
+std::vector<std::pair<uint64_t, std::vector<LineCell>>> ChunkLines(
     const Mapper& mapper, size_t axis, ChunkId cid, const Chunk& chunk) {
   const ArrayMetadata& meta = mapper.metadata();
   const size_t last = meta.num_dims() - 1;
@@ -27,7 +32,7 @@ std::unordered_map<uint64_t, std::vector<LineCell>> ChunkLines(
     s *= meta.dim(d).size;
   }
   const ChunkBox box = ChunkBox::Core(mapper, cid);
-  std::unordered_map<uint64_t, std::vector<LineCell>> lines;
+  internal::FirstSeenGroups<uint64_t, std::vector<LineCell>> lines;
   uint64_t key = 0;
   uint32_t begin = 0;
   box.ForEachValid(
@@ -44,7 +49,7 @@ std::unordered_map<uint64_t, std::vector<LineCell>> ChunkLines(
       [&](uint32_t off, double v) {
         lines[key + (off - begin) * stride[last]].push_back({off, v});
       });
-  return lines;
+  return lines.Take();
 }
 
 using CarryMap = std::unordered_map<uint64_t, double>;  // line -> carry-in

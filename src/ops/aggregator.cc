@@ -1,8 +1,8 @@
 #include "ops/aggregator.h"
 
 #include <limits>
-#include <unordered_map>
 
+#include "engine/first_seen_groups.h"
 #include "ops/block_accumulate.h"
 
 namespace spangle {
@@ -49,10 +49,10 @@ Result<double> Aggregate(const SpangleArray& in, const std::string& attr,
 namespace {
 
 /// Block aggregation through one shuffle. Each partition walks its chunks
-/// in record order, seeding every block from the partition's running state
-/// and writing it back, so a block folds its cells in the order a per-cell
-/// loop over the partition would; ReduceByKey merges partition states and
-/// GroupIntoChunks builds the output chunks from runs of evaluated cells.
+/// in record order and merges each chunk's block states into the
+/// partition's, in first-seen block order; ReduceByKey merges partition
+/// states and GroupIntoChunks builds the output chunks from runs of
+/// evaluated cells.
 ArrayRdd ShuffledBlockAggregate(const ArrayRdd& values,
                                 const ArrayMetadata& out_meta,
                                 std::vector<uint64_t> grid,
@@ -62,26 +62,29 @@ ArrayRdd ShuffledBlockAggregate(const ArrayRdd& values,
   auto out_mapper = std::make_shared<Mapper>(out_meta);
   const uint32_t cpc = out_mapper->cells_per_chunk();
   std::shared_ptr<const AggregateFunction> f = fn.Clone();
+  const auto merge = [f](const AggState& a, const AggState& b) {
+    AggState out = a;
+    f->Merge(&out, b);
+    return out;
+  };
   auto states_rdd = values.chunks().AsRdd().MapPartitionsWithIndex<
       std::pair<uint64_t, AggState>>(
-      [in_mapper, out_mapper, grid, f](
+      [in_mapper, out_mapper, grid, f, merge](
           int, const std::vector<std::pair<ChunkId, Chunk>>& recs) {
         internal::BlockAccumulator acc(in_mapper->metadata(), grid,
                                        out_mapper, f);
-        std::unordered_map<uint64_t, AggState> states;
+        internal::FirstSeenGroups<uint64_t, AggState> states;
         for (const auto& [cid, chunk] : recs) {
-          acc.Walk(chunk, ChunkBox::Core(*in_mapper, cid), &states, {});
+          acc.Walk(chunk, ChunkBox::Core(*in_mapper, cid),
+                   [&](uint64_t key, const AggState& state) {
+                     states.Fold(key, state, merge);
+                   });
         }
-        return std::vector<std::pair<uint64_t, AggState>>(states.begin(),
-                                                          states.end());
+        return states.Take();
       },
       name);
-  auto merged = ToPair<uint64_t, AggState>(std::move(states_rdd))
-                    .ReduceByKey([f](const AggState& a, const AggState& b) {
-                      AggState out = a;
-                      f->Merge(&out, b);
-                      return out;
-                    });
+  auto merged =
+      ToPair<uint64_t, AggState>(std::move(states_rdd)).ReduceByKey(merge);
   auto runs = merged.AsRdd().MapPartitionsWithIndex<
       std::pair<ChunkId, CellRun>>(
       [cpc, f](int, const std::vector<std::pair<uint64_t, AggState>>& recs) {

@@ -40,7 +40,6 @@ BlockAccumulator::BlockAccumulator(const ArrayMetadata& in,
 
 void BlockAccumulator::Walk(
     const Chunk& chunk, const ChunkBox& box,
-    std::unordered_map<uint64_t, AggState>* running,
     const std::function<void(uint64_t key, const AggState&)>& emit) {
   const size_t nd = grid_.size();
   size_t slots = 1;
@@ -79,19 +78,11 @@ void BlockAccumulator::Walk(
           touched_[s] = 1;
           order_.push_back(static_cast<uint32_t>(s));
           states_[s] = f_->Initialize();
-          if (running != nullptr) {
-            auto it = running->find(KeyOf(s));
-            if (it != running->end()) states_[s] = it->second;
-          }
         }
         f_->Accumulate(&states_[s], v);
       });
   for (uint32_t s : order_) {
-    if (running != nullptr) {
-      (*running)[KeyOf(s)] = states_[s];
-    } else {
-      emit(KeyOf(s), states_[s]);
-    }
+    emit(KeyOf(s), states_[s]);
     touched_[s] = 0;
   }
   order_.clear();

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "array/chunk.h"
@@ -36,12 +35,10 @@ class BlockAccumulator {
                    std::shared_ptr<const Mapper> out,
                    std::shared_ptr<const AggregateFunction> f);
 
-  /// Folds the valid cells of `chunk` inside `box` into their blocks. A
-  /// block starts from its state in `running` (the task's states so far)
-  /// and is written back there; with no `running` it starts from
-  /// Initialize() and goes to `emit`.
+  /// Folds the valid cells of `chunk` inside `box` into their blocks,
+  /// each starting from Initialize(), and emits every touched block in
+  /// first-touch order.
   void Walk(const Chunk& chunk, const ChunkBox& box,
-            std::unordered_map<uint64_t, AggState>* running,
             const std::function<void(uint64_t key, const AggState&)>& emit);
 
  private:

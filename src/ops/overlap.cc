@@ -208,7 +208,7 @@ Result<ArrayRdd> OverlapArrayRdd::RegridAggregateLocal(
                                  start + static_cast<int64_t>(m.dim(d).size));
             if (box.lo[d] >= cend) box.hi[d] = box.lo[d];  // owns nothing
           }
-          acc.Walk(chunk, Expand(std::move(box), radii), nullptr, emit);
+          acc.Walk(chunk, Expand(std::move(box), radii), emit);
         }
         return out.Take();
       },

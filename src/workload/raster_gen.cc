@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/random.h"
+#include "engine/first_seen_groups.h"
 
 namespace spangle {
 
@@ -36,8 +36,10 @@ RasterData GenerateSky(const SkyOptions& options) {
       options.source_density * static_cast<double>(options.width) *
       static_cast<double>(options.height));
   for (uint64_t img = 0; img < options.images; ++img) {
-    // Use per-band maps so a pixel lit by two overlapping sources sums.
-    std::vector<std::unordered_map<uint64_t, double>> pixels(options.bands);
+    // Per-band groups, so a pixel lit by two overlapping sources sums;
+    // pixels are emitted in the order a source first lit them.
+    std::vector<internal::FirstSeenGroups<uint64_t, double>> pixels(
+        options.bands);
     for (uint64_t s = 0; s < sources_per_image; ++s) {
       const int64_t cx =
           static_cast<int64_t>(rng.NextBounded(options.width));
@@ -67,7 +69,7 @@ RasterData GenerateSky(const SkyOptions& options) {
       }
     }
     for (uint64_t b = 0; b < options.bands; ++b) {
-      for (const auto& [key, v] : pixels[b]) {
+      for (const auto& [key, v] : pixels[b].Take()) {
         const int64_t x = static_cast<int64_t>(key / options.height);
         const int64_t y = static_cast<int64_t>(key % options.height);
         data.cells[b].push_back(

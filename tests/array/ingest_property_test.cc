@@ -1,6 +1,7 @@
 // Property tests for the parallel ingest (ArrayRdd::FromCells and
 // FromDenseBuffer): whatever the slicing, the chunks and their record
-// order per partition must equal a naive serial ingest's bit for bit, and
+// order per partition (chunks in the order their first cell appears in
+// the input) must equal a naive serial ingest's bit for bit, and
 // a bad input must report the first bad cell in input order.
 
 #include <gtest/gtest.h>
@@ -8,7 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -26,18 +27,22 @@ std::string Bytes(const Chunk& chunk) {
   return out;
 }
 
-/// Serial reference: group the cells in input order into an unordered_map,
-/// build one chunk per entry in the map's order, place the records by
-/// hash. Chunks are compared by their encoding.
+/// Serial reference: group the cells in input order, one chunk per id in
+/// the order its first cell appears, and place the records by hash.
+/// Chunks are compared by their encoding.
 Partitions SerialIngest(const ArrayMetadata& meta,
                         const std::vector<CellValue>& cells,
                         ModePolicy policy, int num_partitions) {
   const Mapper mapper(meta);
-  std::unordered_map<ChunkId, std::vector<std::pair<uint32_t, double>>>
-      grouped;
+  std::map<ChunkId, size_t> slot;
+  using Cells = std::vector<std::pair<uint32_t, double>>;
+  std::vector<std::pair<ChunkId, Cells>> grouped;
   for (const CellValue& cell : cells) {
-    grouped[mapper.ChunkIdFromCoords(cell.pos)].emplace_back(
-        mapper.LocalOffset(cell.pos), cell.value);
+    const ChunkId id = mapper.ChunkIdFromCoords(cell.pos);
+    const auto [it, fresh] = slot.try_emplace(id, grouped.size());
+    if (fresh) grouped.emplace_back(id, Cells{});
+    grouped[it->second].second.emplace_back(mapper.LocalOffset(cell.pos),
+                                            cell.value);
   }
   const uint32_t cpc = mapper.cells_per_chunk();
   HashPartitioner<ChunkId> partitioner(num_partitions);

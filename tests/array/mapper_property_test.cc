@@ -19,7 +19,7 @@ namespace {
 ArrayMetadata RandomMeta(Rng* rng, size_t nd) {
   std::vector<Dimension> dims(nd);
   for (size_t d = 0; d < nd; ++d) {
-    dims[d].name = "d" + std::to_string(d);
+    dims[d].name = std::string("d").append(std::to_string(d));
     dims[d].start = static_cast<int64_t>(rng->NextBounded(21)) - 10;
     dims[d].size = 1 + rng->NextBounded(20);
     dims[d].chunk_size = 1 + rng->NextBounded(dims[d].size + 3);

@@ -26,8 +26,6 @@ QueryParams TestParams(bool use_range) {
   q.lo = {0, 5, 5};
   q.hi = {1, 50, 40};
   q.use_range = use_range;
-  q.attr = "u";
-  q.attr2 = "g";
   q.threshold = 0.4;
   q.threshold2 = 0.6;
   q.grid = {1, 8, 8};

@@ -242,7 +242,7 @@ TEST(ChaosTest, KilledReduceAttemptRetriesAndCommitsOnce) {
     }
     std::vector<std::pair<uint64_t, std::string>> data;
     for (int i = 0; i < 600; ++i) {
-      data.emplace_back(i % 37, "v" + std::to_string(i));
+      data.emplace_back(i % 37, std::string("v").append(std::to_string(i)));
     }
     auto pairs = ToPair<uint64_t, std::string>(ctx.Parallelize(data, 6));
     auto placed = pairs.PartitionBy(

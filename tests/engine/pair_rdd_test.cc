@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "first_seen_order.h"
 
 namespace spangle {
 namespace {
@@ -208,6 +209,11 @@ TEST(PairRddTest, FilterPreservesPartitioner) {
   auto filtered = pairs.Filter([](const KV& kv) { return kv.second > 10; });
   ASSERT_TRUE(filtered.partitioner() != nullptr);
   EXPECT_TRUE(filtered.partitioner()->Equals(*p));
+}
+
+TEST(PairRddTest, GroupingsEmitKeysInFirstSeenOrder) {
+  Context ctx(3);
+  order_contract::ExpectFirstSeenOrder(&ctx);
 }
 
 }  // namespace

@@ -14,23 +14,6 @@ std::vector<int> Iota(int n) {
   return v;
 }
 
-TEST(CoalesceTest, ReducesPartitionsWithoutShuffle) {
-  Context ctx(2);
-  auto rdd = ctx.Parallelize(Iota(100), 10);
-  ctx.metrics().Reset();
-  auto coalesced = rdd.Coalesce(3);
-  EXPECT_EQ(coalesced.num_partitions(), 3);
-  EXPECT_EQ(coalesced.Collect(), Iota(100)) << "order preserved";
-  EXPECT_EQ(ctx.metrics().shuffles.load(), 0u);
-}
-
-TEST(CoalesceTest, ClampsToParentCount) {
-  Context ctx(2);
-  auto rdd = ctx.Parallelize(Iota(10), 2);
-  EXPECT_EQ(rdd.Coalesce(8).num_partitions(), 2);
-  EXPECT_EQ(rdd.Coalesce(1).Collect(), Iota(10));
-}
-
 TEST(SampleTest, FractionRoughlyRespected) {
   Context ctx(2);
   auto rdd = ctx.Parallelize(Iota(10000), 8);

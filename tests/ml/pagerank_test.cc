@@ -115,9 +115,10 @@ uint64_t HashOfBits(const std::vector<double>& ranks) {
 }
 
 // Pins the ranks bit for bit. A'v sums one partial per row block per
-// partition in tile order, reduces once, and adds each block onto 0.0;
-// with dangling redistribution the rank sum also depends on the record
-// order of the result. A change to either order changes these hashes.
+// partition in tile order (tiles in the order their first edge appears),
+// reduces once, and adds each block onto 0.0; with dangling
+// redistribution the rank sum also adds the result's blocks in ascending
+// order. A change to either order changes these hashes.
 TEST(PageRankTest, RanksArePinnedBitForBit) {
   RmatOptions g;
   g.scale = 10;  // 1024 vertices, 16 row blocks over 5 partitions
@@ -132,13 +133,13 @@ TEST(PageRankTest, RanksArePinnedBitForBit) {
     Context ctx(3);
     options.super_sparse = super_sparse;
     const auto result = *PageRank(&ctx, 1024, edges, options);
-    EXPECT_EQ(HashOfBits(result.ranks), 0x02c880b37bc910f9ULL);
+    EXPECT_EQ(HashOfBits(result.ranks), 0xf255792c76786ea6ULL);
   }
   Context ctx(3);
   options.super_sparse = false;
   options.redistribute_dangling = true;
   const auto result = *PageRank(&ctx, 1024, edges, options);
-  EXPECT_EQ(HashOfBits(result.ranks), 0x135e3b2d019a243fULL);
+  EXPECT_EQ(HashOfBits(result.ranks), 0x85addea840d6602eULL);
 }
 
 TEST(PageRankTest, EmptyGraphFails) {

@@ -33,6 +33,7 @@
 #include "net/executor_fleet.h"
 #include "net/frame.h"
 #include "net/message.h"
+#include "tests/engine/first_seen_order.h"
 #include "workload/graph_gen.h"
 
 namespace spangle {
@@ -139,6 +140,14 @@ TEST(DistributedModeTest, ChunkRunShufflesMatchLocalBitExactly) {
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(run(&dist), want);
   EXPECT_GT(dist.metrics().remote_shuffle_fetches.load(), 0u);
+}
+
+// Records come back from the daemons in the one defined order: the same
+// first-seen order the LOCAL suite checks.
+TEST(DistributedModeTest, GroupingsEmitKeysInFirstSeenOrder) {
+  Context ctx(2, 4, 0, {}, Distributed(2));
+  order_contract::ExpectFirstSeenOrder(&ctx);
+  EXPECT_GT(ctx.metrics().remote_shuffle_fetches.load(), 0u);
 }
 
 TEST(DistributedModeTest, PageRankMatchesLocalBitExactly) {

@@ -201,11 +201,18 @@ TEST_F(RpcLoopbackTest, ConcurrentClientsPutAndFetchRace) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([this, t, &failures] {
       RpcClient c(daemon_->port());
+      // Payload "t<t>.b<b>".
+      const auto payload = [t](int b) {
+        return std::string("t")
+            .append(std::to_string(t))
+            .append(".b")
+            .append(std::to_string(b));
+      };
       for (int b = 0; b < kBlocks; ++b) {
         PutBlockRequest put;
         put.node = 100 + static_cast<uint64_t>(t);
         put.partition = b;
-        put.bytes = "t" + std::to_string(t) + ".b" + std::to_string(b);
+        put.bytes = payload(b);
         if (!(c.TypedCall<PutBlockRequest, PutBlockResponse>(put)).ok()) {
           failures.fetch_add(1);
         }
@@ -216,9 +223,7 @@ TEST_F(RpcLoopbackTest, ConcurrentClientsPutAndFetchRace) {
         fetch.partition = b;
         auto resp =
             c.TypedCall<FetchBlockRequest, FetchBlockResponse>(fetch);
-        const std::string want =
-            "t" + std::to_string(t) + ".b" + std::to_string(b);
-        if (!resp.ok() || !resp->found || resp->bytes != want) {
+        if (!resp.ok() || !resp->found || resp->bytes != payload(b)) {
           failures.fetch_add(1);
         }
       }

@@ -45,7 +45,7 @@ TEST(MetricsExportTest, MetricsJsonIsWellFormedAndComplete) {
   ASSERT_TRUE(JsonChecker::Valid(json, &err)) << err << "\n" << json;
   // Every registered metric appears by name.
   for (const MetricDef& def : ctx.metrics().registry().metrics()) {
-    EXPECT_NE(json.find("\"" + std::string(def.name) + "\""),
+    EXPECT_NE(json.find(std::string("\"").append(def.name).append("\"")),
               std::string::npos)
         << def.name;
   }

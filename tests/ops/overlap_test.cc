@@ -226,7 +226,7 @@ TEST(OverlapTest, ExpandedChunksArePinnedBitForBit) {
   HashExpanded(OverlapArrayRdd::Build(sparse, 3), &h, &modes);
   EXPECT_EQ(modes.size(), 3u)
       << "the pin must cover dense, sparse and super-sparse chunks";
-  EXPECT_EQ(h, 0x6e095f51f6725450ULL);
+  EXPECT_EQ(h, 0xe0a8552baa03c988ULL);
 }
 
 }  // namespace
